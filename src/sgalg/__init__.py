@@ -7,19 +7,18 @@ convolution, and a floating-point layer for norms and gauge averaging.
 """
 
 from .scalars import GaussianRational
-from .semigroup import (NumericalSemigroup, automorphism_multipliers, build,
+from .semigroup import (NumericalSemigroup, automorphism_multipliers,
                         morphism_multipliers)
-from .translations import (EventualSet, PartialTranslation, adjoint, apply,
-                           compose, elementary, evaluate_word, max_translation,
-                           word_action, word_offsets)
+from .translations import (EventualSet, PartialTranslation, compose, elementary,
+                           evaluate_word, max_translation, word_action,
+                           word_offsets)
 from .operators import (EventualWeight, LaurentPolynomial, OperatorElement,
                         from_monomial, generator_commutator, toeplitz_lift)
-from .quantum import (FreeElement, FreeTensor, FreeTriple, coassociativity_check,
-                      coaction_axiom_check, coaction_fixed, coideal_decomposition,
-                      coproduct, corner_diagram_check, delta_coaction,
-                      descent_witness, distinct_monomials, enumerate_words,
-                      group_like_detect, group_like_survey,
-                      quantum_morphism_falsify, rep, tensor_adjoint, tensor_apply,
+from .quantum import (FreeElement, FreeTensor, coaction_fixed,
+                      coideal_decomposition, coproduct, corner_diagram_check,
+                      delta_coaction, descent_witness, distinct_monomials,
+                      enumerate_words, group_like_detect, group_like_survey,
+                      quantum_morphism_falsify, rep, tensor_adjoint,
                       tensor_multiply, tensor_of, weak_antipode, weak_hopf_check)
 from .functionals import (Convolution, LinCombo, MatrixCoeff, SymbolPointMass,
                           convolve, evaluate, haar, haar_property_check,

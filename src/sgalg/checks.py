@@ -19,10 +19,9 @@ from .operators import (LaurentPolynomial, OperatorElement, from_monomial,
                         generator_commutator, toeplitz_lift)
 from . import quantum
 from .quantum import (FreeElement, coproduct, corner_diagram_check, descent_witness,
-                      distinct_monomials, exact_nullspace,
+                      distinct_monomials, monomial_kernel,
                       quantum_morphism_falsify, rep, weak_antipode,
-                      weak_hopf_check, coassociativity_check, _operator_coordinates,
-                      _pt_sort_key)
+                      weak_hopf_check, _pt_sort_key)
 from . import functionals as fns
 from .numeric import (fourier_project, gauge_twist, norm_convergence,
                       operator_norm, shift_example_check, truncate)
@@ -95,7 +94,11 @@ def suite_order(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
                            {"reflexive": reflexive, "antisymmetric": antisym,
                             "transitive": transitive}, True, 0, order_ok))
 
-    total = s.is_totally_ordered()
+    # Pairwise comparability, independent of the gap list.  The window is wide
+    # enough: with gaps, a generator a and a + frobenius are incomparable.
+    window = s.members_upto(s.frobenius + max(s.generators))
+    total = all(s.contains(b - a) or s.contains(a - b)
+                for i, a in enumerate(window) for b in window[i + 1:])
     equiv_ok = total == (len(s.gaps) == 0)
     reports.append(_report("totality of the natural order matches gap-freeness",
                            {"semigroup": str(s)},
@@ -312,7 +315,6 @@ def suite_weakhopf(s: NumericalSemigroup, seed: int = 0, n_elements: int = 500) 
     corpus = [random_free_element(rng, s) for _ in range(n_elements)]
 
     axioms_ok = all(weak_hopf_check(x).passed for x in corpus)
-    coassoc_ok = all(coassociativity_check(x) for x in corpus)
 
     algebra_map_ok = True
     for _ in range(n_elements):
@@ -329,9 +331,6 @@ def suite_weakhopf(s: NumericalSemigroup, seed: int = 0, n_elements: int = 500) 
         _report("both weak antipode axioms hold on the free algebra",
                 {"semigroup": str(s), "elements": n_elements, "seed": seed},
                 {"all_pass": axioms_ok}, True, 0, axioms_ok),
-        _report("the diagonal coproduct is coassociative",
-                {"semigroup": str(s), "elements": n_elements, "seed": seed},
-                {"all_pass": coassoc_ok}, True, 0, coassoc_ok),
         _report("the coproduct is an algebra map",
                 {"semigroup": str(s), "pairs": n_elements, "seed": seed},
                 {"all_pass": algebra_map_ok}, True, 0, algebra_map_ok),
@@ -371,32 +370,11 @@ def suite_coideal(s: NumericalSemigroup, max_total_len: int = 4) -> list[dict]:
 # -- descent suite -----------------------------------------------------------------------------
 
 
-def monomial_dependencies(s: NumericalSemigroup, max_len: int
-                          ) -> tuple[list[PartialTranslation], list[list[GaussianRational]]]:
-    """Distinct short-word monomials and a kernel basis of their operator span.
-
-    The span decomposes by index, so the kernel is assembled per index class.
-    """
-    monos = sorted(distinct_monomials(s, max_len), key=_pt_sort_key)
-    by_index: dict[int, list[int]] = {}
-    for i, v in enumerate(monos):
-        by_index.setdefault(v.index, []).append(i)
-    kernel: list[list[GaussianRational]] = []
-    for c in sorted(by_index):
-        positions = by_index[c]
-        cols = _operator_coordinates([from_monomial(monos[i]) for i in positions])
-        for vec in exact_nullspace(cols):
-            full = [ZERO] * len(monos)
-            for coeff, pos in zip(vec, positions):
-                full[pos] = coeff
-            kernel.append(full)
-    return monos, kernel
-
-
 def suite_descent(s: NumericalSemigroup, seed: int = 0, window: Optional[int] = None,
                   max_len: int = 6, corner_span: int = 4) -> list[dict]:
     rng = _rng("descent", s, seed)
-    monos, kernel = monomial_dependencies(s, max_len)
+    monos = sorted(distinct_monomials(s, max_len), key=_pt_sort_key)
+    kernel = monomial_kernel(monos)
     if window is None:
         # wide enough to reach past every domain threshold at this word length
         window = max([10] + [v.domain.threshold + 2 for v in monos])

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .semigroup import NumericalSemigroup
-from .quantum import coproduct, group_like_detect, rep, tensor_apply
+from .quantum import coproduct, group_like_detect, rep
 from . import functionals as fns
 from .exprparse import ExprError, parse_element, parse_functional
 from .numeric import laurent_sup_norm, operator_norm, truncate
@@ -111,7 +111,7 @@ def cmd_coproduct(args) -> int:
         table = []
         for c in members:
             for d in members:
-                vals = tensor_apply(t, (c, d))
+                vals = t.apply((c, d))
                 if vals:
                     table.append([[c, d], [[list(k), str(v)]
                                            for k, v in sorted(vals.items())]])

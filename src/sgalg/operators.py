@@ -340,16 +340,8 @@ class OperatorElement:
         return OperatorElement(s, out)
 
     def symbol(self) -> LaurentPolynomial:
-        """Image in the commutative quotient: one coefficient per tail value.
-
-        Cross-checked against the conjugation route: past the stabilization
-        threshold, shift conjugation must reproduce the lifted symbol exactly.
-        """
-        f = LaurentPolynomial({c: w.tail for c, w in self.components.items()})
-        e = self.semigroup.first_member_at_least(self.stabilization_threshold())
-        if self.conjugate(e) != toeplitz_lift(f, self.semigroup):
-            raise AssertionError("symbol disagrees with stabilized conjugation")
-        return f
+        """Image in the commutative quotient: one coefficient per tail value."""
+        return LaurentPolynomial({c: w.tail for c, w in self.components.items()})
 
     def in_ideal(self) -> bool:
         """Membership in the commutator ideal: vanishing symbol."""
@@ -358,10 +350,7 @@ class OperatorElement:
     def split(self) -> tuple[LaurentPolynomial, "OperatorElement"]:
         """Exact splitting A = lift(symbol(A)) + ideal part."""
         f = self.symbol()
-        k = self - toeplitz_lift(f, self.semigroup)
-        if not k.in_ideal():
-            raise AssertionError("splitting remainder escaped the ideal")
-        return f, k
+        return f, self - toeplitz_lift(f, self.semigroup)
 
     def is_isometry(self) -> bool:
         return self.adjoint() * self == OperatorElement.identity(self.semigroup)

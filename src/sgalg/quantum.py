@@ -247,33 +247,6 @@ class FreeTensor:
         return [[v.to_json_dict(), w.to_json_dict(), str(c)] for (v, w), c in items]
 
 
-class FreeTriple:
-    """Formal combination of ordered monomial triples; comparison target only."""
-
-    __slots__ = ("semigroup", "terms", "_key")
-
-    def __init__(self, semigroup, terms):
-        cleaned = {}
-        for key, coeff in terms.items():
-            coeff = GaussianRational.coerce(coeff)
-            if not coeff.is_zero:
-                cleaned[key] = coeff
-        self.semigroup = semigroup
-        self.terms = cleaned
-        self._key = (semigroup,
-                     tuple((u, v, w, c.re, c.im) for (u, v, w), c in
-                           sorted(cleaned.items(),
-                                  key=lambda kv: tuple(map(_pt_sort_key, kv[0])))))
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeTriple):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-
 # -- comultiplication ---------------------------------------------------------
 
 
@@ -286,7 +259,11 @@ def rep(x: FreeElement) -> OperatorElement:
 
 
 def coproduct(x: FreeElement) -> FreeTensor:
-    """Diagonal lift of the basis expansion."""
+    """Diagonal lift of the basis expansion.
+
+    Coassociative by construction: both ways of applying it twice send each
+    basis monomial V to V (x) V (x) V.
+    """
     return FreeTensor(x.semigroup, {(v, v): c for v, c in x.terms.items()})
 
 
@@ -317,23 +294,6 @@ def tensor_adjoint(s: FreeTensor) -> FreeTensor:
                        for (v, w), c in s.terms.items()})
 
 
-def tensor_apply(s: FreeTensor, pair: tuple[int, int]) -> dict:
-    return s.apply(pair)
-
-
-def _delta_on_first(t: FreeTensor) -> FreeTriple:
-    return FreeTriple(t.semigroup, {(v, v, w): c for (v, w), c in t.terms.items()})
-
-
-def _delta_on_second(t: FreeTensor) -> FreeTriple:
-    return FreeTriple(t.semigroup, {(v, w, w): c for (v, w), c in t.terms.items()})
-
-
-def coassociativity_check(x: FreeElement) -> bool:
-    d = coproduct(x)
-    return _delta_on_first(d) == _delta_on_second(d)
-
-
 # -- weak Hopf structure -------------------------------------------------------
 
 
@@ -355,16 +315,15 @@ class WeakHopfResult:
 
 
 def weak_hopf_check(x: FreeElement) -> WeakHopfResult:
-    """Both antipode axioms, expanded honestly through the triple coproduct."""
+    """Both antipode axioms, folded over the triple coproduct V (x) V (x) V."""
     s = x.semigroup
-    triple = _delta_on_first(coproduct(x))
-
     fold_id: dict[PartialTranslation, GaussianRational] = {}
     fold_t: dict[PartialTranslation, GaussianRational] = {}
-    for (u, v, w), c in triple.terms.items():
-        p1 = compose(compose(u, v.adjoint()), w)
+    for v, c in x.terms.items():
+        vs = v.adjoint()
+        p1 = compose(compose(v, vs), v)
         fold_id[p1] = fold_id.get(p1, ZERO) + c
-        p2 = compose(compose(u.adjoint(), v), w.adjoint())
+        p2 = compose(compose(vs, v), vs)
         fold_t[p2] = fold_t.get(p2, ZERO) + c
     lhs_id = FreeElement(s, fold_id)
     lhs_t = FreeElement(s, fold_t)
@@ -386,19 +345,11 @@ def group_like_detect(x: FreeElement) -> Optional[int]:
     isometry; those two force a single full-domain monomial with unit
     coefficient, whose index is returned.
     """
-    if x.is_zero:
+    if x.is_zero or coproduct(x) != tensor_of(x, x):
         return None
-    if coproduct(x) != tensor_of(x, x):
-        return None
-    if len(x.terms) != 1:
-        raise AssertionError("diagonal coproduct with several free terms")
-    v, coeff = next(iter(x.terms.items()))
-    if coeff != ONE:
-        raise AssertionError("diagonal coproduct with non-unit coefficient")
     if not rep(x).is_isometry():
         return None
-    if not v.domain.is_full or not x.semigroup.contains(v.index):
-        raise AssertionError("isometric group-like that is not a canonical generator")
+    (v,) = x.terms
     return v.index
 
 
@@ -427,22 +378,6 @@ def delta_coaction(x: FreeElement) -> dict[PartialTranslation,
     """Coaction values V -> (coefficient, character at the monomial's index)."""
     return {v: (c, LaurentPolynomial.character(v.index))
             for v, c in x.terms.items()}
-
-
-def coaction_axiom_check(x: FreeElement) -> bool:
-    """Both coaction-axiom routes give V (x) chi^ind (x) chi^ind; compare exactly."""
-    base = delta_coaction(x)
-    lhs = {}
-    for v, (c, chi) in base.items():
-        # coact again on the algebra leg: it contributes a fresh character
-        (exp,) = chi.exponents()
-        lhs[v] = (c, v.index, exp)
-    rhs = {}
-    for v, (c, chi) in base.items():
-        # comultiply the function leg: a character doubles
-        (exp,) = chi.exponents()
-        rhs[v] = (c, exp, exp)
-    return lhs == rhs
 
 
 def coaction_fixed(x: FreeElement) -> bool:
@@ -560,6 +495,27 @@ def _operator_coordinates(elements: Sequence[OperatorElement]) -> list[dict]:
     return coords
 
 
+def monomial_kernel(pts: Sequence[PartialTranslation]) -> list[list[GaussianRational]]:
+    """Kernel basis of the operator span of distinct monomials, exact.
+
+    The span decomposes by index, so the kernel is assembled per index class
+    in increasing index order; each vector has one coordinate per entry of pts.
+    """
+    by_index: dict[int, list[int]] = {}
+    for i, v in enumerate(pts):
+        by_index.setdefault(v.index, []).append(i)
+    kernel: list[list[GaussianRational]] = []
+    for c in sorted(by_index):
+        positions = by_index[c]
+        cols = _operator_coordinates([from_monomial(pts[i]) for i in positions])
+        for vec in exact_nullspace(cols):
+            full = [ZERO] * len(pts)
+            for coeff, pos in zip(vec, positions):
+                full[pos] = coeff
+            kernel.append(full)
+    return kernel
+
+
 def exact_nullspace(columns: Sequence[dict]) -> list[list[GaussianRational]]:
     """Kernel basis of the linear map (l1..ln) -> sum li * column_i, exact."""
     keys = sorted(set().union(*columns)) if columns else []
@@ -624,6 +580,8 @@ class _FalsifierContext:
     kernel: list[list[GaussianRational]]
 
 
+# Only the most recent context is kept: a multiplier scan reuses one key, and
+# a context for a long word length is large.
 _falsifier_cache: dict[tuple, _FalsifierContext] = {}
 
 
@@ -632,6 +590,7 @@ def _falsifier_context(s1: NumericalSemigroup, max_word_len: int) -> _FalsifierC
     ctx = _falsifier_cache.get(key)
     if ctx is not None:
         return ctx
+    _falsifier_cache.clear()
     from .translations import word_offsets
 
     classes: dict[PartialTranslation, dict[frozenset, Word]] = {}
@@ -640,21 +599,8 @@ def _falsifier_context(s1: NumericalSemigroup, max_word_len: int) -> _FalsifierC
         classes.setdefault(pt, {}).setdefault(offs, word)
 
     pts = sorted(classes, key=_pt_sort_key)
-    by_index: dict[int, list[int]] = {}
-    for i, v in enumerate(pts):
-        by_index.setdefault(v.index, []).append(i)
-    kernel: list[list[GaussianRational]] = []
-    for c in sorted(by_index):
-        positions = by_index[c]
-        cols = _operator_coordinates([from_monomial(pts[i]) for i in positions])
-        for vec in exact_nullspace(cols):
-            full = [ZERO] * len(pts)
-            for coeff, pos in zip(vec, positions):
-                full[pos] = coeff
-            kernel.append(full)
-
     ctx = _FalsifierContext({v: sorted(d.items()) for v, d in classes.items()},
-                            pts, kernel)
+                            pts, monomial_kernel(pts))
     _falsifier_cache[key] = ctx
     return ctx
 
@@ -681,18 +627,10 @@ def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
     # Semigroup level: every word route to the same source monomial must give
     # the same image.  Images depend on the word only through its offset set,
     # so the distinct offset classes per monomial are compared.
-    spot_checked = 0
     image_for: dict[PartialTranslation, PartialTranslation] = {}
     for v in ctx.pts:
         entries = ctx.classes[v]
         img0 = image_by_offsets(v, entries[0][0])
-        if spot_checked < 20:
-            # route self-check: offsets construction vs direct word evaluation
-            word0 = entries[0][1]
-            direct = evaluate_word(s2, tuple((m * a, st) for a, st in word0))
-            if direct != img0:
-                raise AssertionError("offset route disagrees with word evaluation")
-            spot_checked += 1
         image_for[v] = img0
         for offs, word in entries[1:]:
             img = image_by_offsets(v, offs)

@@ -92,20 +92,8 @@ class NumericalSemigroup:
         return self.contains(b - a)
 
     def is_totally_ordered(self) -> bool:
-        """Whether every pair of members is comparable.
-
-        Structurally this is "no gaps"; the pairwise scan up to
-        frobenius + max(generators) is run as well and the two answers are
-        required to agree.
-        """
-        structural = not self.gaps
-        bound = self.frobenius + max(self.generators)
-        members = self.members_upto(bound)
-        pairwise = all(self.contains(b - a) or self.contains(a - b)
-                       for i, a in enumerate(members) for b in members[i + 1:])
-        if structural != pairwise:
-            raise AssertionError("totality predicate disagrees with gap structure")
-        return structural
+        """Whether every pair of members is comparable, i.e. there are no gaps."""
+        return not self.gaps
 
     # -- value semantics ---------------------------------------------------
 
@@ -124,11 +112,6 @@ class NumericalSemigroup:
         return f"NumericalSemigroup({list(self.generators)!r})"
 
 
-def build(generators) -> NumericalSemigroup:
-    """Construct a numerical semigroup from a set of positive generators."""
-    return NumericalSemigroup(generators)
-
-
 def morphism_multipliers(s1: NumericalSemigroup, s2: NumericalSemigroup,
                          bound: int) -> list[int]:
     """Multipliers m in [0, bound] with m*g in s2 for every generator g of s1.
@@ -145,7 +128,7 @@ def morphism_multipliers(s1: NumericalSemigroup, s2: NumericalSemigroup,
 def automorphism_multipliers(s: NumericalSemigroup) -> set[int]:
     """All m with m*S = S.  For a numerical semigroup this is always {1}:
     frobenius+1 and frobenius+2 are consecutive members, and no m >= 2 divides
-    both, so m*S is never all of S for m >= 2.  The scan below confirms it.
+    both, so m*S is never all of S for m >= 2.
     """
     def is_multiplier_auto(m: int) -> bool:
         if m == 0:
@@ -159,8 +142,5 @@ def automorphism_multipliers(s: NumericalSemigroup) -> set[int]:
                 return False
         return True
 
-    found = {m for m in range(1, max(3, max(s.generators) + 1))
-             if is_multiplier_auto(m)}
-    if found != {1}:
-        raise AssertionError(f"unexpected automorphism multipliers {found}")
-    return found
+    return {m for m in range(1, max(3, max(s.generators) + 1))
+            if is_multiplier_auto(m)}

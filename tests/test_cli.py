@@ -56,6 +56,37 @@ def test_symbol_and_split(capsys):
     assert doc["ideal_part_in_ideal"] is True
 
 
+def _word_text(word):
+    return "*".join(f"T*({a})" if starred else f"T({a})" for a, starred in word)
+
+
+def test_large_frobenius_info_symbol_split(capsys):
+    # S(31,37): F = 1079 with (31-1)(37-1)/2 = 540 gaps
+    code, out = run_cli(capsys, "info", "--gens", "31,37")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["frobenius"] == 1079 and len(doc["gaps"]) == 540
+    assert doc["totally_ordered"] is False
+
+    # a word's symbol is the character at its index sum
+    words = [((31, False), (37, True)),
+             ((31, True), (37, False), (37, False)),
+             ((37, False), (31, True), (31, True))]
+    code, out = run_cli(capsys, "symbol", "--gens", "31,37",
+                        "--expr", " + ".join(_word_text(w) for w in words))
+    assert code == 0
+    sums = sorted(sum(-a if starred else a for a, starred in w) for w in words)
+    assert json.loads(out)["symbol"]["coefficients"] == [[c, "1"] for c in sums]
+
+    # I minus a zero-index projection has symbol zero, so only the shift survives
+    code, out = run_cli(capsys, "split", "--gens", "31,37",
+                        "--expr", "T(31)*T*(37) + I - T*(37)*T(31)*T*(31)*T(37)")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["symbol"]["coefficients"] == [[-6, "1"]]
+    assert doc["ideal_part_in_ideal"] is True
+
+
 def test_norm(capsys):
     code, out = run_cli(capsys, "norm", "--gens", "1",
                         "--expr", "T(1) + T*(1)", "--dim", "64")

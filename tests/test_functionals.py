@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from sgalg.scalars import GaussianRational, ONE, ZERO
-from sgalg.semigroup import build
+from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import evaluate_word, max_translation
 from sgalg.quantum import FreeElement, rep
 from sgalg import functionals as fns
 
-S23 = build([2, 3])
-Z = build([1])
+S23 = NumericalSemigroup([2, 3])
+Z = NumericalSemigroup([1])
 
 
 def mono(s, *letters):

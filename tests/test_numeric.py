@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgalg.scalars import GaussianRational, I_UNIT, ONE
-from sgalg.semigroup import build
+from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import elementary, evaluate_word
 from sgalg.operators import LaurentPolynomial, OperatorElement, from_monomial, toeplitz_lift
 from sgalg.quantum import FreeElement, rep
@@ -13,8 +13,8 @@ from sgalg.numeric import (NumericOperator, fourier_project, gauge_twist,
                            laurent_sup_norm, norm_convergence, operator_norm,
                            shift_example_check, truncate)
 
-S23 = build([2, 3])
-Z = build([1])
+S23 = NumericalSemigroup([2, 3])
+Z = NumericalSemigroup([1])
 
 
 def test_truncate_identity():

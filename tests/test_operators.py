@@ -3,13 +3,13 @@ import random
 import pytest
 
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
-from sgalg.semigroup import build
+from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import compose, elementary, evaluate_word, max_translation
 from sgalg.operators import (EventualWeight, LaurentPolynomial, OperatorElement,
                              from_monomial, generator_commutator, toeplitz_lift)
 
-S23 = build([2, 3])
-Z = build([1])
+S23 = NumericalSemigroup([2, 3])
+Z = NumericalSemigroup([1])
 
 
 def projection_word():

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgalg.scalars import GaussianRational
-from sgalg.semigroup import build
+from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import elementary, evaluate_word
 from sgalg.quantum import FreeElement, rep
 from sgalg import exprparse as ep
 from sgalg import functionals as fns
 
-S23 = build([2, 3])
-Z = build([1])
+S23 = NumericalSemigroup([2, 3])
+Z = NumericalSemigroup([1])
 
 
 # -- parsing --------------------------------------------------------------------

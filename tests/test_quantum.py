@@ -3,20 +3,20 @@ import random
 import pytest
 
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
-from sgalg.semigroup import build
+from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import elementary, evaluate_word, max_translation
 from sgalg.operators import OperatorElement, from_monomial
-from sgalg.quantum import (FreeElement, FreeTensor, coassociativity_check,
-                           coaction_axiom_check, coaction_fixed,
+from sgalg import quantum
+from sgalg.quantum import (FreeElement, FreeTensor, coaction_fixed,
                            coideal_decomposition, coproduct, corner_diagram_check,
                            delta_coaction, descent_witness, distinct_monomials,
                            exact_nullspace, group_like_detect, group_like_survey,
                            quantum_morphism_falsify, rep, tensor_adjoint,
-                           tensor_apply, tensor_multiply, tensor_of, weak_antipode,
+                           tensor_multiply, tensor_of, weak_antipode,
                            weak_hopf_check)
 
-S23 = build([2, 3])
-Z = build([1])
+S23 = NumericalSemigroup([2, 3])
+Z = NumericalSemigroup([1])
 
 
 def mono(s, *letters):
@@ -79,11 +79,11 @@ def test_tensor_multiply_examples():
 def test_tensor_apply_examples():
     t2 = elementary(S23, 2, False)
     t = tensor_of(FreeElement.monomial(t2), FreeElement.monomial(t2))
-    assert tensor_apply(t, (0, 0)) == {(2, 2): ONE}
+    assert t.apply((0, 0)) == {(2, 2): ONE}
 
     x = mono(S23, (3, True), (2, False), (2, True), (3, False))
     d = coproduct(x)
-    assert tensor_apply(d, (2, 3)) == {(2, 3): ONE}
+    assert d.apply((2, 3)) == {(2, 3): ONE}
 
     rng = random.Random(37)
     for _ in range(40):
@@ -122,8 +122,6 @@ def test_weak_hopf_examples():
 
 
 def test_coassociativity_examples():
-    assert coassociativity_check(mono(S23, (3, False)))
-    assert coassociativity_check(FreeElement.zero(S23))
     rng = random.Random(41)
     for _ in range(30):
         x = FreeElement.zero(S23)
@@ -131,7 +129,6 @@ def test_coassociativity_examples():
             x = x + mono(S23, *((rng.choice(S23.generators), rng.random() < 0.5)
                                 for _ in range(rng.randint(1, 5)))).scale(
                 rng.choice((ONE, GaussianRational(-1), I_UNIT)))
-        assert coassociativity_check(x)
         assert weak_hopf_check(x).passed
 
 
@@ -182,7 +179,6 @@ def test_coaction_examples():
     p0_like = mono(S23, (2, True), (2, False))
     assert coaction_fixed(p0_like)
     assert not coaction_fixed(FreeElement.monomial(t2))
-    assert coaction_axiom_check(FreeElement.monomial(t2) + p0_like.scale(I_UNIT))
 
 
 # -- descent and corner ------------------------------------------------------------------
@@ -264,6 +260,13 @@ def test_falsifier_witness_is_genuine():
     img_right = sum((from_monomial(evaluate_word(Z, word)).scale(c)
                      for c, word in w.right), OperatorElement.zero(Z))
     assert img_left != img_right
+
+
+def test_falsifier_keeps_one_context():
+    S35 = NumericalSemigroup([3, 5])
+    for source, length in ((S23, 3), (S35, 3), (Z, 4)):
+        quantum_morphism_falsify(source, Z, 1, length)
+    assert len(quantum._falsifier_cache) <= 1
 
 
 def test_falsifier_trivial_multiplier_consistent():

@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from sgalg.semigroup import automorphism_multipliers, build, morphism_multipliers
+from sgalg.semigroup import (NumericalSemigroup, automorphism_multipliers,
+                             morphism_multipliers)
 
 
 def sieve_members(gens, bound):
@@ -17,13 +18,13 @@ def sieve_members(gens, bound):
 
 
 def test_build_examples():
-    z = build([1])
+    z = NumericalSemigroup([1])
     assert z.gaps == () and z.frobenius == -1
 
-    s = build([2, 3])
+    s = NumericalSemigroup([2, 3])
     assert s.gaps == (1,) and s.frobenius == 1
 
-    s35 = build([3, 5])
+    s35 = NumericalSemigroup([3, 5])
     assert s35.gaps == (1, 2, 4, 7) and s35.frobenius == 7
     oracle = sieve_members([3, 5], 15)
     assert set(s35.gaps) == {n for n in range(1, 16) if n not in oracle}
@@ -31,50 +32,50 @@ def test_build_examples():
 
 def test_build_rejections():
     with pytest.raises(ValueError):
-        build([])
+        NumericalSemigroup([])
     with pytest.raises(ValueError):
-        build([0, 2])
+        NumericalSemigroup([0, 2])
     with pytest.raises(ValueError):
-        build([2, 4])       # gcd 2
+        NumericalSemigroup([2, 4])       # gcd 2
 
 
 def test_minimal_generators():
-    assert build([2, 3, 4]).generators == (2, 3)
-    assert build([3, 5, 8]).generators == (3, 5)
-    assert build([1, 7]).generators == (1,)
+    assert NumericalSemigroup([2, 3, 4]).generators == (2, 3)
+    assert NumericalSemigroup([3, 5, 8]).generators == (3, 5)
+    assert NumericalSemigroup([1, 7]).generators == (1,)
 
 
 def test_contains_examples():
-    s = build([2, 3])
+    s = NumericalSemigroup([2, 3])
     assert s.contains(0)
     assert not s.contains(1)
     assert not s.contains(-4)
-    assert not build([3, 5]).contains(7)
+    assert not NumericalSemigroup([3, 5]).contains(7)
     oracle = sieve_members([3, 5], 40)
-    s35 = build([3, 5])
+    s35 = NumericalSemigroup([3, 5])
     assert all(s35.contains(n) == (n in oracle) for n in range(41))
 
 
 def test_element_at_examples():
-    s = build([2, 3])
+    s = NumericalSemigroup([2, 3])
     assert s.element_at(0) == 0
     assert s.element_at(1) == 2
     # oracle: sorted members of <3,5> are 0,3,5,6,8,...; the 4th (0-indexed) is 8
-    s35 = build([3, 5])
+    s35 = NumericalSemigroup([3, 5])
     oracle = sorted(sieve_members([3, 5], 40))
     assert [s35.element_at(i) for i in range(len(oracle))] == oracle
     assert s35.element_at(4) == oracle[4] == 8
 
 
 def test_members_upto():
-    s35 = build([3, 5])
+    s35 = NumericalSemigroup([3, 5])
     assert s35.members_upto(9) == [0, 3, 5, 6, 8, 9]
     assert s35.members_upto(-1) == []
-    assert build([1]).members_upto(3) == [0, 1, 2, 3]
+    assert NumericalSemigroup([1]).members_upto(3) == [0, 1, 2, 3]
 
 
 def test_natural_below_examples():
-    s = build([2, 3])
+    s = NumericalSemigroup([2, 3])
     assert s.natural_below(0, 5)
     assert not s.natural_below(2, 3)
     assert s.natural_below(2, 7)
@@ -83,13 +84,20 @@ def test_natural_below_examples():
 
 
 def test_totally_ordered_examples():
-    assert build([1]).is_totally_ordered()
-    assert not build([2, 3]).is_totally_ordered()
-    assert not build([2, 5]).is_totally_ordered()
+    assert NumericalSemigroup([1]).is_totally_ordered()
+    assert not NumericalSemigroup([2, 3]).is_totally_ordered()
+    assert not NumericalSemigroup([2, 5]).is_totally_ordered()
+
+
+def pairwise_comparable(s, bound):
+    """Oracle: every two members up to bound differ by a member, one way round."""
+    members = [n for n in range(bound + 1) if s.contains(n)]
+    return all(s.contains(b - a) for i, a in enumerate(members) for b in members[i + 1:])
 
 
 def test_totality_equivalence_on_generated_family():
-    # every gcd-1 generator set from a small pool; totality must equal gap-freeness
+    # every gcd-1 generator set from a small pool; totality must equal
+    # pairwise comparability of the members
     pool = range(1, 11)
     seen = set()
     for k in (1, 2, 3):
@@ -99,38 +107,39 @@ def test_totality_equivalence_on_generated_family():
                 g = gcd(g, a)
             if g != 1:
                 continue
-            s = build(gens)
+            s = NumericalSemigroup(gens)
             if s.generators in seen or s.frobenius > 30:
                 continue
             seen.add(s.generators)
-            assert s.is_totally_ordered() == (len(s.gaps) == 0)
+            bound = s.frobenius + 2 * max(s.generators)
+            assert s.is_totally_ordered() == pairwise_comparable(s, bound)
     assert len(seen) > 25
 
 
 def test_morphism_multipliers_examples():
-    z = build([1])
-    s = build([2, 3])
+    z = NumericalSemigroup([1])
+    s = NumericalSemigroup([2, 3])
     assert morphism_multipliers(z, z, 5) == [0, 1, 2, 3, 4, 5]
     assert morphism_multipliers(s, z, 4) == [0, 1, 2, 3, 4]
     assert morphism_multipliers(z, s, 4) == [0, 2, 3, 4]
 
 
 def test_automorphism_multipliers():
-    assert automorphism_multipliers(build([1])) == {1}
-    assert automorphism_multipliers(build([2, 3])) == {1}
-    assert automorphism_multipliers(build([3, 5])) == {1}
+    assert automorphism_multipliers(NumericalSemigroup([1])) == {1}
+    assert automorphism_multipliers(NumericalSemigroup([2, 3])) == {1}
+    assert automorphism_multipliers(NumericalSemigroup([3, 5])) == {1}
 
 
 @given(st.sampled_from([(1,), (2, 3), (3, 5), (4, 5, 6), (3, 7)]),
        st.integers(0, 30), st.integers(0, 30))
 def test_membership_closed_under_addition(gens, i, j):
-    s = build(gens)
+    s = NumericalSemigroup(gens)
     assert s.contains(s.element_at(i) + s.element_at(j))
 
 
 @given(st.sampled_from([(2, 3), (3, 5), (2, 7)]), st.integers(0, 40))
 def test_enumeration_matches_membership(gens, i):
-    s = build(gens)
+    s = NumericalSemigroup(gens)
     m = s.element_at(i)
     assert s.contains(m)
     assert s.element_at(i + 1) > m

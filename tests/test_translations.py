@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgalg.semigroup import build
+from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
 from sgalg.translations import (EventualSet, PartialTranslation, compose,
                                 elementary, evaluate_word, max_translation,
                                 pt_from_offsets, word_action, word_offsets)
 
-S23 = build([2, 3])
-S35 = build([3, 5])
-Z = build([1])
+S23 = NumericalSemigroup([2, 3])
+S35 = NumericalSemigroup([3, 5])
+Z = NumericalSemigroup([1])
 SEMIGROUPS = (Z, S23, S35)
 
 
@@ -116,6 +116,33 @@ def test_max_translation_examples():
     assert max_translation(S23, -2) == elementary(S23, 2, True)
 
 
+def factorisation_members(s, c, count=3):
+    """The first count members a with a + c also a member."""
+    out = []
+    a = 0
+    while len(out) < count:
+        if s.contains(a) and s.contains(a + c):
+            out.append(a)
+        a += 1
+    return out
+
+
+@pytest.mark.parametrize("gens, indices", [
+    ((2, 3), None), ((3, 7), None), ((11, 13), None),
+    ((31, 37), (-74, -6, 1, 37, 68)),      # F = 1079: a few indices only
+])
+def test_max_translation_factorisations(gens, indices):
+    # T_a* T_{a+c} is the widest translation of index c for every admissible a
+    s = NumericalSemigroup(gens)
+    if indices is None:
+        span = 2 * max(s.generators)
+        indices = range(-span, span + 1)
+    for c in indices:
+        target = max_translation(s, c)
+        for a in factorisation_members(s, c):
+            assert compose(elementary(s, a, True), elementary(s, a + c, False)) == target
+
+
 def test_evaluate_word_examples():
     w = evaluate_word(S23, ((2, False), (2, True), (3, False), (3, True)))
     assert w.index == 0
@@ -207,14 +234,22 @@ def test_canonical_form_uniqueness():
 
 
 def test_offsets_route_matches_composition():
+    # (source, target, multiplier): each source word w is scaled letter-wise by
+    # the multiplier and evaluated over the target, which must agree with the
+    # target translation cut out by the scaled offsets of w (the falsifier's
+    # image route).  Multiplier 1 onto the source itself is the plain route.
+    routes = [(s, s, 1) for s in SEMIGROUPS]
+    for s1, s2 in ((S23, Z), (S35, Z), (Z, S23)):
+        routes.extend((s1, s2, m) for m in morphism_multipliers(s1, s2, 6))
     rng = random.Random(5)
-    for s in SEMIGROUPS:
+    for s1, s2, m in routes:
         for _ in range(120):
-            word = tuple((rng.choice(s.generators), rng.random() < 0.5)
+            word = tuple((rng.choice(s1.generators), rng.random() < 0.5)
                          for _ in range(rng.randint(1, 6)))
-            v = evaluate_word(s, word)
-            index = sum(-a if st_ else a for a, st_ in word)
-            assert pt_from_offsets(s, index, word_offsets(s, word)) == v
+            scaled = tuple((m * a, st_) for a, st_ in word)
+            index = sum(-a if st_ else a for a, st_ in scaled)
+            offsets = [m * t for t in word_offsets(s1, word)]
+            assert pt_from_offsets(s2, index, offsets) == evaluate_word(s2, scaled)
 
 
 def test_textual_form():
