@@ -24,9 +24,9 @@ from .functionals import (Convolution, LinCombo, MatrixCoeff, SymbolPointMass,
                           convolve, evaluate, haar, haar_property_check,
                           lin_combo, measure_convolution_check, phi_star,
                           point_mass)
-from .numeric import (NumericOperator, TruncatedMatrix, fourier_project,
-                      gauge_twist, laurent_sup_norm, norm_convergence,
-                      operator_norm, shift_example_check, truncate)
+from .numeric import (TruncatedMatrix, fourier_project, gauge_twist,
+                      laurent_sup_norm, norm_convergence, operator_norm,
+                      shift_example_check, truncate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

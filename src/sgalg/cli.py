@@ -32,6 +32,11 @@ def _gens(text: str) -> NumericalSemigroup:
         raise ExprError(f"bad generator list {text!r}: {exc}") from exc
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def _scalar_json(v) -> object:
     from .scalars import GaussianRational
     if isinstance(v, GaussianRational):
@@ -53,6 +58,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _at_least("--basis", args.basis, 0)
     s = _gens(args.gens)
     x = parse_element(args.expr, s)
     op = rep(x)
@@ -101,6 +107,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_coproduct(args) -> int:
+    _at_least("--pairs", args.pairs, 0)
     s = _gens(args.gens)
     x = parse_element(args.expr, s)
     t = coproduct(x)
@@ -153,6 +160,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_morphism(args) -> int:
+    _at_least("--max-len", args.max_len, 1)
     s1 = _gens(getattr(args, "from"))
     s2 = _gens(args.to)
     report = morphism_report(s1, s2, args.mult, args.max_len)

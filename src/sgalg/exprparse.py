@@ -10,6 +10,17 @@
 Products are in operator order: the left factor acts last.  ``T*(a)`` is the
 same as ``T(a)^*``.  The scalar lookahead is greedy: ``1/2 + 3i`` is one
 scalar atom, which keeps print/parse round trips exact.
+
+Functionals share the lexer and the scalar rules:
+
+    functional := 'haar' | 'w[' ['-'] int ',' ['-'] int ']'
+                | 'pm(' ['-'] rat ')' | 'conv(' functional ',' functional ')'
+                | 'lin(' coeff '*' functional (('+'|'-') coeff '*' functional)* ')'
+    coeff      := ['-'] rationalComplex
+
+A leading '-' negates the integer, the angle, or the real part of the
+coefficient.  pm takes the angle as a fraction of a full turn: pm(1/3) sits
+at 2*pi/3.
 """
 
 from __future__ import annotations
@@ -94,7 +105,8 @@ Expression = Union[Scalar, Ident, Gen, GenStar, Add, Sub, Mul, Star, Paren]
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str        # INT IDENT PLUS MINUS STAR SLASH LPAREN RPAREN STARSUF END
+    kind: str        # INT IDENT PLUS MINUS STAR SLASH LPAREN RPAREN LBRACK RBRACK
+                     # COMMA STARSUF END
     text: str
     offset: int
 
@@ -129,7 +141,8 @@ def _tokenize(text: str) -> list[_Token]:
                 continue
             raise ExprError("expected '*' after '^'", i)
         simple = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
-                  "(": "LPAREN", ")": "RPAREN"}
+                  "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
+                  ",": "COMMA"}
         if ch in simple:
             out.append(_Token(simple[ch], ch, i))
             i += 1
@@ -157,6 +170,12 @@ class _Parser:
                             tok.offset)
         self.pos += 1
         return tok
+
+    def finish(self, node):
+        tok = self.peek()
+        if tok.kind != "END":
+            raise ExprError(f"trailing input {tok.text!r}", tok.offset)
+        return node
 
     def parse_expr(self) -> Expression:
         node = self.parse_term()
@@ -234,17 +253,59 @@ class _Parser:
             self.pos = save
         return GaussianRational(real)
 
+    def take_sign(self) -> int:
+        """Consume an optional leading '-': -1 when present, else 1."""
+        if self.peek().kind == "MINUS":
+            self.pos += 1
+            return -1
+        return 1
+
+    def parse_functional(self, semigroup: NumericalSemigroup) -> fn.Functional:
+        tok = self.peek()
+        name = tok.text if tok.kind == "IDENT" else None
+        if name == "haar":
+            self.pos += 1
+            return fn.haar()
+        if name == "w":
+            self.pos += 1
+            self.take("LBRACK")
+            a = self.take_sign() * int(self.take("INT").text)
+            self.take("COMMA")
+            b = self.take_sign() * int(self.take("INT").text)
+            self.take("RBRACK")
+            if not semigroup.contains(a) or not semigroup.contains(b):
+                raise ExprError(f"matrix coefficient against non-members ({a},{b})")
+            return fn.MatrixCoeff(a, b)
+        if name not in ("pm", "conv", "lin"):
+            raise ExprError("expected a functional", tok.offset)
+        self.pos += 1
+        self.take("LPAREN")
+        if name == "pm":
+            node = fn.point_mass(self.take_sign() * self.parse_rat())
+        elif name == "conv":
+            left = self.parse_functional(semigroup)
+            self.take("COMMA")
+            node = fn.convolve(left, self.parse_functional(semigroup))
+        else:
+            terms = []
+            sign = 1
+            while True:
+                real_sign = self.take_sign()
+                z = self.parse_rational_complex()
+                self.take("STAR")
+                coeff = GaussianRational(real_sign * z.re, z.im) * sign
+                terms.append((coeff, self.parse_functional(semigroup)))
+                if self.peek().kind not in ("PLUS", "MINUS"):
+                    break
+                sign = 1 if self.take(self.peek().kind).kind == "PLUS" else -1
+            node = fn.lin_combo(terms)
+        self.take("RPAREN")
+        return node
+
 
 def parse(text: str) -> Expression:
-    return _finish(_Parser(_tokenize(text)))
-
-
-def _finish(p: _Parser) -> Expression:
-    node = p.parse_expr()
-    tok = p.peek()
-    if tok.kind != "END":
-        raise ExprError(f"trailing input {tok.text!r}", tok.offset)
-    return node
+    p = _Parser(_tokenize(text))
+    return p.finish(p.parse_expr())
 
 
 # -- printer -----------------------------------------------------------------------
@@ -325,121 +386,8 @@ def parse_element(text: str, semigroup: NumericalSemigroup) -> FreeElement:
 
 
 # -- functional syntax -----------------------------------------------------------------
-#
-#   functional := 'haar' | 'w[' int ',' int ']' | 'pm(' rat ')'
-#               | 'conv(' functional ',' functional ')'
-#               | 'lin(' rationalComplex '*' functional (('+'|'-') ...)* ')'
-#
-# pm takes the angle as a fraction of a full turn: pm(1/3) sits at 2*pi/3.
 
 
 def parse_functional(text: str, semigroup: NumericalSemigroup) -> fn.Functional:
-    parser = _FunctionalParser(text, semigroup)
-    result = parser.parse()
-    parser.expect_end()
-    return result
-
-
-class _FunctionalParser:
-    def __init__(self, text: str, semigroup: NumericalSemigroup):
-        self.text = text
-        self.pos = 0
-        self.semigroup = semigroup
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _literal(self, lit: str) -> bool:
-        self._skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def _require(self, lit: str):
-        if not self._literal(lit):
-            raise ExprError(f"expected {lit!r}", self.pos)
-
-    def _int(self) -> int:
-        self._skip_ws()
-        j = self.pos
-        if j < len(self.text) and self.text[j] == "-":
-            j += 1
-        start_digits = j
-        while j < len(self.text) and self.text[j].isdigit():
-            j += 1
-        if j == start_digits:
-            raise ExprError("expected an integer", self.pos)
-        value = int(self.text[self.pos:j])
-        self.pos = j
-        return value
-
-    def _rat(self) -> Fraction:
-        num = self._int()
-        if self._literal("/"):
-            den = self._int()
-            if den == 0:
-                raise ExprError("division by zero in angle", self.pos)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse(self) -> fn.Functional:
-        if self._literal("haar"):
-            return fn.haar()
-        if self._literal("w["):
-            a = self._int()
-            self._require(",")
-            b = self._int()
-            self._require("]")
-            if not self.semigroup.contains(a) or not self.semigroup.contains(b):
-                raise ExprError(f"matrix coefficient against non-members ({a},{b})")
-            return fn.MatrixCoeff(a, b)
-        if self._literal("pm("):
-            turns = self._rat()
-            self._require(")")
-            return fn.point_mass(turns)
-        if self._literal("conv("):
-            left = self.parse()
-            self._require(",")
-            right = self.parse()
-            self._require(")")
-            return fn.convolve(left, right)
-        if self._literal("lin("):
-            terms = []
-            sign = GaussianRational(1)
-            while True:
-                coeff = self._scalar() * sign
-                self._require("*")
-                terms.append((coeff, self.parse()))
-                if self._literal("+"):
-                    sign = GaussianRational(1)
-                elif self._literal("-"):
-                    sign = GaussianRational(-1)
-                else:
-                    break
-            self._require(")")
-            return fn.lin_combo(terms)
-        raise ExprError("expected a functional", self.pos)
-
-    def _scalar(self) -> GaussianRational:
-        real = self._rat()
-        save = self.pos
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            sign = 1 if self.text[self.pos] == "+" else -1
-            self.pos += 1
-            try:
-                imag = self._rat()
-            except ExprError:
-                self.pos = save
-                return GaussianRational(real)
-            if self._literal("i"):
-                return GaussianRational(real, sign * imag)
-            self.pos = save
-        return GaussianRational(real)
-
-    def expect_end(self):
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ExprError(f"trailing input {self.text[self.pos:]!r}", self.pos)
+    p = _Parser(_tokenize(text))
+    return p.finish(p.parse_functional(semigroup))

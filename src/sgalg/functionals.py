@@ -1,9 +1,10 @@
 """Functionals on the free monomial algebra and their convolution.
 
 Evaluation is exact (Gaussian rational) unless a point-mass leaf occurs, in
-which case it is a complex float.  Convolution pairs two functionals through
-the diagonal coproduct, so on a basis expansion it multiplies values
-monomial by monomial.
+which case it is a complex float: the scalars' mixing rule turns any sum or
+product with a complex value into a complex.  Convolution pairs two
+functionals through the diagonal coproduct, so on a basis expansion it
+multiplies values monomial by monomial.
 """
 
 from __future__ import annotations
@@ -96,22 +97,6 @@ def is_exact(xi: Functional) -> bool:
     raise TypeError(f"not a functional: {xi!r}")
 
 
-def _add(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-        return a + b
-    return _to_complex(a) + _to_complex(b)
-
-
-def _mul(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-        return a * b
-    return _to_complex(a) * _to_complex(b)
-
-
-def _to_complex(a: Scalar) -> complex:
-    return a.to_complex() if isinstance(a, GaussianRational) else complex(a)
-
-
 def eval_on_monomial(xi: Functional, v: PartialTranslation) -> Scalar:
     if isinstance(xi, MatrixCoeff):
         if v.domain.contains(xi.b) and xi.b + v.index == xi.a:
@@ -121,12 +106,9 @@ def eval_on_monomial(xi: Functional, v: PartialTranslation) -> Scalar:
         angle = 2.0 * cmath.pi * float(xi.turns)
         return xi.weight * cmath.exp(1j * v.index * angle)
     if isinstance(xi, LinCombo):
-        acc: Scalar = ZERO
-        for c, f in xi.terms:
-            acc = _add(acc, _mul(c, eval_on_monomial(f, v)))
-        return acc
+        return sum((c * eval_on_monomial(f, v) for c, f in xi.terms), ZERO)
     if isinstance(xi, Convolution):
-        return _mul(eval_on_monomial(xi.left, v), eval_on_monomial(xi.right, v))
+        return eval_on_monomial(xi.left, v) * eval_on_monomial(xi.right, v)
     if isinstance(xi, ShiftPullback):
         conj = FreeElement.monomial(v).conjugate_by_shift(xi.e)
         return evaluate(xi.inner, conj)
@@ -139,23 +121,20 @@ def evaluate(xi: Functional, x: FreeElement) -> Scalar:
         s = x.semigroup
         if not s.contains(xi.a) or not s.contains(xi.b):
             raise ValueError("matrix coefficient against non-members")
-    acc: Scalar = ZERO
-    for v, c in x.terms.items():
-        acc = _add(acc, _mul(c, eval_on_monomial(xi, v)))
-    return acc
+    return sum((c * eval_on_monomial(xi, v) for v, c in x.terms.items()), ZERO)
 
 
 def _scalars_close(a: Scalar, b: Scalar, tol: float) -> bool:
     if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
         return a == b
-    return abs(_to_complex(a) - _to_complex(b)) <= tol
+    return abs(a - b) <= tol
 
 
 def haar_property_check(phi: Functional, x: FreeElement, tol: float = 1e-12) -> bool:
     """Absorbing law through the identity coefficient, both product orders."""
     h = haar()
     phi_at_identity = evaluate(phi, FreeElement.identity(x.semigroup))
-    expected = _mul(phi_at_identity, evaluate(h, x))
+    expected = phi_at_identity * evaluate(h, x)
     left = evaluate(convolve(h, phi), x)
     right = evaluate(convolve(phi, h), x)
     return _scalars_close(left, expected, tol) and _scalars_close(right, expected, tol)

@@ -1,8 +1,9 @@
 """Floating-point verification layer: truncations, norms, gauge averaging.
 
 Operator identities are never tested on truncations (corner effects);
-truncated matrices serve norm estimation only, and the gauge/Fourier
-machinery works on complex-weighted copies of the exact elements.
+truncated matrices serve norm estimation only.  Gauge twists and Fourier
+projections are ``OperatorElement``s with complex weights, so they use the
+exact layer's sums, products and adjoints.
 """
 
 from __future__ import annotations
@@ -21,124 +22,6 @@ from .quantum import FreeElement, coproduct, rep, tensor_of
 from .translations import elementary, evaluate_word
 
 
-class NumericWeight:
-    """Complex-float mirror of an eventually-constant weight."""
-
-    __slots__ = ("exceptions", "tail")
-
-    def __init__(self, exceptions: dict[int, complex], tail: complex, tol: float = 0.0):
-        self.tail = complex(tail)
-        self.exceptions = {d: complex(v) for d, v in exceptions.items()
-                           if abs(complex(v) - self.tail) > tol}
-
-    @property
-    def threshold(self) -> int:
-        return max(self.exceptions) + 1 if self.exceptions else 0
-
-    def value(self, d: int) -> complex:
-        return self.exceptions.get(d, self.tail)
-
-    @classmethod
-    def from_exact(cls, w: EventualWeight) -> "NumericWeight":
-        return cls({d: v.to_complex() for d, v in w.exceptions.items()},
-                   w.tail.to_complex())
-
-
-class NumericOperator:
-    """Complex-weighted element; same shape as the exact form, float scalars."""
-
-    __slots__ = ("semigroup", "components")
-
-    def __init__(self, semigroup: NumericalSemigroup,
-                 components: dict[int, NumericWeight]):
-        self.semigroup = semigroup
-        self.components = {c: w for c, w in components.items()
-                           if w.exceptions or w.tail != 0}
-
-    @classmethod
-    def from_exact(cls, a: OperatorElement) -> "NumericOperator":
-        return cls(a.semigroup, {c: NumericWeight.from_exact(w)
-                                 for c, w in a.components.items()})
-
-    def weight_at(self, c: int) -> NumericWeight:
-        return self.components.get(c, NumericWeight({}, 0.0))
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.components))
-
-    def scale(self, z: complex) -> "NumericOperator":
-        return NumericOperator(self.semigroup,
-                               {c: NumericWeight({d: z * v for d, v in w.exceptions.items()},
-                                                 z * w.tail)
-                                for c, w in self.components.items()})
-
-    def __add__(self, other: "NumericOperator") -> "NumericOperator":
-        s = self.semigroup
-        out = {}
-        for c in set(self.components) | set(other.components):
-            wa, wb = self.weight_at(c), other.weight_at(c)
-            hi = max(wa.threshold, wb.threshold)
-            exc = {d: wa.value(d) + wb.value(d) for d in s.members_upto(hi - 1)}
-            out[c] = NumericWeight(exc, wa.tail + wb.tail)
-        return NumericOperator(s, out)
-
-    def __mul__(self, other: "NumericOperator") -> "NumericOperator":
-        s = self.semigroup
-        frob = s.frobenius
-        pieces: dict[int, list] = {}
-        for c1, w1 in self.components.items():
-            for c2, w2 in other.components.items():
-                pieces.setdefault(c1 + c2, []).append((w1, c2, w2))
-        out = {}
-        for c, plist in pieces.items():
-            bound = max(max(w2.threshold, w1.threshold - c2, frob + 1 - c2, -c2, 0)
-                        for w1, c2, w2 in plist)
-            exc = {}
-            for d in s.members_upto(bound - 1):
-                acc = 0j
-                for w1, c2, w2 in plist:
-                    x = d + c2
-                    acc += w2.value(d) * (w1.value(x) if s.contains(x) else 0.0)
-                exc[d] = acc
-            tail = sum(w1.tail * w2.tail for w1, c2, w2 in plist)
-            out[c] = NumericWeight(exc, tail)
-        return NumericOperator(s, out)
-
-    def adjoint(self) -> "NumericOperator":
-        s = self.semigroup
-        out = {}
-        for c, w in self.components.items():
-            bound = max(w.threshold + c, s.frobenius + c + 1, c, 0)
-            exc = {}
-            for d in s.members_upto(bound - 1):
-                x = d - c
-                exc[d] = w.value(x).conjugate() if s.contains(x) else 0.0
-            out[-c] = NumericWeight(exc, w.tail.conjugate())
-        return NumericOperator(s, out)
-
-    def apply(self, d: int) -> dict[int, complex]:
-        out = {}
-        for c, w in self.components.items():
-            v = w.value(d)
-            if v != 0:
-                out[d + c] = v
-        return out
-
-    def deviation_from(self, other: Union["NumericOperator", OperatorElement]) -> float:
-        """Max absolute weight difference over all indices and sample points."""
-        if isinstance(other, OperatorElement):
-            other = NumericOperator.from_exact(other)
-        dev = 0.0
-        s = self.semigroup
-        for c in set(self.components) | set(other.components):
-            wa, wb = self.weight_at(c), other.weight_at(c)
-            dev = max(dev, abs(wa.tail - wb.tail))
-            hi = max(wa.threshold, wb.threshold)
-            for d in s.members_upto(hi - 1):
-                dev = max(dev, abs(wa.value(d) - wb.value(d)))
-        return dev
-
-
 @dataclass
 class TruncatedMatrix:
     """Compression onto the span of the first N basis points of the semigroup."""
@@ -150,12 +33,10 @@ class TruncatedMatrix:
         return len(self.legend)
 
 
-def truncate(a: Union[OperatorElement, NumericOperator], n: int) -> TruncatedMatrix:
+def truncate(a: OperatorElement, n: int) -> TruncatedMatrix:
     """Dense N-by-N compression; entry (i, j) moves basis point s_j to s_i."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if isinstance(a, OperatorElement):
-        a = NumericOperator.from_exact(a)
     s = a.semigroup
     legend = tuple(s.element_at(i) for i in range(n))
     position = {m: i for i, m in enumerate(legend)}
@@ -164,7 +45,7 @@ def truncate(a: Union[OperatorElement, NumericOperator], n: int) -> TruncatedMat
         for j, sj in enumerate(legend):
             i = position.get(sj + c)
             if i is not None:
-                mat[i, j] = w.value(sj)
+                mat[i, j] = complex(w.value(sj))
     return TruncatedMatrix(mat, legend)
 
 
@@ -239,24 +120,22 @@ def norm_convergence(f: LaurentPolynomial, semigroup: NumericalSemigroup,
     }
 
 
-def gauge_twist(a: Union[OperatorElement, NumericOperator], theta: float) -> NumericOperator:
-    """Multiply every index-c component by exp(i*c*theta)."""
-    if isinstance(a, OperatorElement):
-        a = NumericOperator.from_exact(a)
+def gauge_twist(a: OperatorElement, theta: float) -> OperatorElement:
+    """Multiply every index-c component by exp(i*c*theta); complex weights."""
     out = {}
     for c, w in a.components.items():
         z = cmath.exp(1j * c * theta)
-        out[c] = NumericWeight({d: z * v for d, v in w.exceptions.items()}, z * w.tail)
-    return NumericOperator(a.semigroup, out)
+        out[c] = EventualWeight({d: z * v for d, v in w.exceptions.items()}, z * w.tail)
+    return OperatorElement(a.semigroup, out)
 
 
-def fourier_project(a: OperatorElement, target_index: int, samples: int) -> NumericOperator:
+def fourier_project(a: OperatorElement, target_index: int, samples: int) -> OperatorElement:
     """Average of gauge twists against one character; recovers one grade."""
     span = max((abs(c) for c in a.components), default=0)
     if samples <= 2 * span:
         raise ValueError(f"need more than {2 * span} samples for index span {span}")
-    acc = NumericOperator(a.semigroup, {})
-    base = NumericOperator.from_exact(a)
+    acc = OperatorElement.zero(a.semigroup)
+    base = gauge_twist(a, 0.0)  # the same weights as complex numbers, converted once
     for k in range(samples):
         theta = 2.0 * math.pi * k / samples
         phase = cmath.exp(-1j * target_index * theta) / samples

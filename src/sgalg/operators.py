@@ -5,13 +5,17 @@ function on the semigroup.  This form is faithful: the element is zero
 exactly when no component is stored.  Monomial indicator combinations are
 linearly dependent for non-totally-ordered semigroups, so the weight form
 (not a monomial expansion) is what makes operator equality decidable.
+
+Weights are exact Gaussian rationals or complex floats; the float layer
+(gauge twists, Fourier projection) uses the same elements with complex
+weights.  The symbol and splitting are defined for exact elements only.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE, ZERO, as_scalar
 from .semigroup import NumericalSemigroup
 from .translations import PartialTranslation, elementary, max_translation
 
@@ -25,25 +29,23 @@ class EventualWeight:
 
     __slots__ = ("exceptions", "tail", "_key")
 
-    def __init__(self, exceptions: dict[int, GaussianRational], tail):
-        tail = GaussianRational.coerce(tail)
-        cleaned = {d: GaussianRational.coerce(v) for d, v in exceptions.items()
-                   if GaussianRational.coerce(v) != tail}
+    def __init__(self, exceptions: dict, tail):
+        tail = as_scalar(tail)
+        cleaned = {d: as_scalar(v) for d, v in exceptions.items() if v != tail}
         self.exceptions = cleaned
         self.tail = tail
-        self._key = (tuple(sorted((d, v.re, v.im) for d, v in cleaned.items())),
-                     tail.re, tail.im)
+        self._key = (tuple(sorted(cleaned.items())), tail)
 
     @property
     def threshold(self) -> int:
         return max(self.exceptions) + 1 if self.exceptions else 0
 
-    def value(self, d: int) -> GaussianRational:
+    def value(self, d: int):
         return self.exceptions.get(d, self.tail)
 
     @property
     def is_zero(self) -> bool:
-        return self.tail.is_zero and not self.exceptions
+        return not self.tail and not self.exceptions
 
     def __eq__(self, other):
         if not isinstance(other, EventualWeight):
@@ -57,15 +59,18 @@ class EventualWeight:
         return f"EventualWeight({self.exceptions!r}, tail={self.tail!r})"
 
 
-def weight_from_fn(s: NumericalSemigroup, fn: Callable[[int], GaussianRational],
+def weight_from_fn(s: NumericalSemigroup, fn: Callable[[int], object],
                    bound: int, tail) -> EventualWeight:
     """Weight equal to fn on members below bound and to tail from bound on."""
     return EventualWeight({d: fn(d) for d in s.members_upto(bound - 1)}, tail)
 
 
-def _value_ext(s: NumericalSemigroup, w: EventualWeight, x: int) -> GaussianRational:
-    """Weight value extended by zero off the semigroup."""
-    return w.value(x) if s.contains(x) else ZERO
+def _value_ext(s: NumericalSemigroup, w: EventualWeight, x: int):
+    """Weight value extended by zero off the semigroup.
+
+    The zero is the int 0, which mixes with exact and complex values alike.
+    """
+    return w.value(x) if s.contains(x) else 0
 
 
 class LaurentPolynomial:
@@ -175,7 +180,7 @@ class OperatorElement:
             # basis point would leave the semigroup.
             bound = max(semigroup.frobenius - c, -c, -1)
             for d in semigroup.members_upto(bound):
-                if not semigroup.contains(d + c) and not w.value(d).is_zero:
+                if not semigroup.contains(d + c) and w.value(d):
                     raise ValueError(
                         f"component {c} has weight {w.value(d)} at {d}, "
                         f"but {d}+{c} is outside the semigroup")
@@ -218,7 +223,11 @@ class OperatorElement:
         s = self.semigroup
         out: dict[int, EventualWeight] = {}
         for c in set(self.components) | set(other.components):
-            wa, wb = self.weight_at(c), other.weight_at(c)
+            wa, wb = self.components.get(c), other.components.get(c)
+            if wa is None or wb is None:
+                # A component on one side only is copied, not rebuilt.
+                out[c] = wb if wa is None else wa
+                continue
             bound = max(wa.threshold, wb.threshold)
             out[c] = weight_from_fn(s, lambda d: wa.value(d) + wb.value(d),
                                     bound, wa.tail + wb.tail)
@@ -233,8 +242,8 @@ class OperatorElement:
         return self.scale(GaussianRational(-1))
 
     def scale(self, scalar) -> "OperatorElement":
-        scalar = GaussianRational.coerce(scalar)
-        if scalar.is_zero:
+        scalar = as_scalar(scalar)
+        if not scalar:
             return OperatorElement.zero(self.semigroup)
         out = {c: EventualWeight({d: scalar * v for d, v in w.exceptions.items()},
                                  scalar * w.tail)
@@ -268,16 +277,14 @@ class OperatorElement:
         out: dict[int, EventualWeight] = {}
         for c, plist in pieces.items():
             def fn(d, plist=plist):
-                acc = ZERO
+                acc = 0
                 for w1, c2, w2 in plist:
                     acc = acc + w2.value(d) * _value_ext(s, w1, d + c2)
                 return acc
             bound = max(max(w2.threshold, w1.threshold - c2,
                             s.frobenius + 1 - c2, -c2, 0)
                         for w1, c2, w2 in plist)
-            tail = ZERO
-            for w1, c2, w2 in plist:
-                tail = tail + w1.tail * w2.tail
+            tail = sum(w1.tail * w2.tail for w1, _c2, w2 in plist)
             out[c] = weight_from_fn(s, fn, bound, tail)
         return OperatorElement(s, out)
 
@@ -293,14 +300,14 @@ class OperatorElement:
 
     # -- basis action ---------------------------------------------------------
 
-    def apply(self, d: int) -> dict[int, GaussianRational]:
+    def apply(self, d: int) -> dict:
         """Coefficients of the image of basis point d; empty when killed."""
         if not self.semigroup.contains(d):
             raise ValueError(f"{d} is not a member")
         out = {}
         for c, w in self.components.items():
             v = w.value(d)
-            if not v.is_zero:
+            if v:
                 out[d + c] = v
         return out
 
@@ -333,7 +340,7 @@ class OperatorElement:
 
             def fn(d, w=w, c=c):
                 if not s.contains(d + c):
-                    return ZERO
+                    return 0
                 return w.value(d + e)
             out[c] = weight_from_fn(s, fn, bound, w.tail)
         # Accumulate: distinct indices stay distinct, so plain dict is fine.
@@ -354,6 +361,16 @@ class OperatorElement:
 
     def is_isometry(self) -> bool:
         return self.adjoint() * self == OperatorElement.identity(self.semigroup)
+
+    def deviation_from(self, other: "OperatorElement") -> float:
+        """Max absolute weight difference over all indices and sample points."""
+        dev = 0.0
+        for c in set(self.components) | set(other.components):
+            wa, wb = self.weight_at(c), other.weight_at(c)
+            dev = max(dev, abs(wa.tail - wb.tail))
+            for d in self.semigroup.members_upto(max(wa.threshold, wb.threshold) - 1):
+                dev = max(dev, abs(wa.value(d) - wb.value(d)))
+        return dev
 
     # -- value semantics ------------------------------------------------------------
 

@@ -1,4 +1,10 @@
-"""Exact scalars: complex numbers with rational real and imaginary parts."""
+"""Exact scalars: complex numbers with rational real and imaginary parts.
+
+A weight or a functional value is either such an exact scalar or a Python
+``complex``.  Combining the two by ``+ - * /``, in either order, gives the
+float result of the same operation on ``complex(exact)``; the two kinds
+never compare equal.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +17,15 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _exact(x):
+    """x as a GaussianRational, or None when x is not an exact scalar."""
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussianRational(x)
+    return None
 
 
 class GaussianRational:
@@ -29,19 +44,17 @@ class GaussianRational:
 
     @classmethod
     def coerce(cls, x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+        o = _exact(x)
+        if o is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+        return o
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        o = _exact(other)
+        if o is None:
+            return complex(self) + other if isinstance(other, complex) else NotImplemented
         if not self.re and not self.im:
             return o
         if not o.re and not o.im:
@@ -51,27 +64,24 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        o = _exact(other)
+        if o is None:
+            return complex(self) - other if isinstance(other, complex) else NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        o = _exact(other)
+        if o is None:
+            return other - complex(self) if isinstance(other, complex) else NotImplemented
         return GaussianRational(o.re - self.re, o.im - self.im)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        o = _exact(other)
+        if o is None:
+            return complex(self) * other if isinstance(other, complex) else NotImplemented
         if not self.im and not o.im:
             if self.re == 1:
                 return o
@@ -84,10 +94,9 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        o = _exact(other)
+        if o is None:
+            return complex(self) / other if isinstance(other, complex) else NotImplemented
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
@@ -95,10 +104,9 @@ class GaussianRational:
                                 (self.im * o.re - self.re * o.im) / n)
 
     def __rtruediv__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        o = _exact(other)
+        if o is None:
+            return other / complex(self) if isinstance(other, complex) else NotImplemented
         return o / self
 
     def conjugate(self) -> "GaussianRational":
@@ -149,6 +157,13 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def as_scalar(x):
+    """An int or Fraction as a GaussianRational; exact and complex values unchanged."""
+    if isinstance(x, (GaussianRational, complex)):
+        return x
+    return GaussianRational.coerce(x)
 
 
 ZERO = GaussianRational(0)

@@ -174,3 +174,23 @@ def test_usage_errors(capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"]["kind"] == "input"
+
+
+def test_word_length_must_be_positive(capsys):
+    for length in ("0", "-3"):
+        code, out = run_cli(capsys, "morphism", "--from", "2,3", "--to", "1",
+                            "--max-len", length)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["kind"] == "input"
+        assert "--max-len" in doc["error"]["message"]
+
+
+def test_table_sizes_must_be_non_negative(capsys):
+    for argv in (("eval", "--gens", "2,3", "--expr", "T(2)", "--basis", "-1"),
+                 ("coproduct", "--gens", "2,3", "--expr", "T(2)", "--pairs", "-1")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["kind"] == "input"
+        assert argv[-2] in doc["error"]["message"]

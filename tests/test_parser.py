@@ -180,6 +180,29 @@ def test_parse_functionals():
     assert isinstance(lin, fns.LinCombo)
     assert [str(c) for c, _f in lin.terms] == ["2", "1/2", "-3"]
 
+    haar = fns.MatrixCoeff(0, 0)
+    table = {
+        "pm(-6/5)": fns.SymbolPointMass(Fraction(-6, 5), 1.0),
+        "lin(-1*haar)": fns.LinCombo(((GaussianRational(-1), haar),)),
+        "lin(1-1i*haar)": fns.LinCombo(((GaussianRational(1, -1), haar),)),
+        "lin(-1/2+3i*w[0,2])": fns.LinCombo(((GaussianRational(Fraction(-1, 2), 3),
+                                              fns.MatrixCoeff(0, 2)),)),
+        "conv(conv(haar, w[0,2]), pm(1/4))": fns.Convolution(
+            fns.Convolution(haar, fns.MatrixCoeff(0, 2)),
+            fns.SymbolPointMass(Fraction(1, 4), 1.0)),
+        " haar ": haar,
+        "w[ 3 , 2 ]": fns.MatrixCoeff(3, 2),
+        "pm( 1 / 3 )": fns.SymbolPointMass(Fraction(1, 3), 1.0),
+        "conv( haar ,w[2,2] )": fns.Convolution(haar, fns.MatrixCoeff(2, 2)),
+        "lin(1 - 1 i * haar)": fns.LinCombo(((GaussianRational(1, -1), haar),)),
+        "lin( 2*haar + 1/2 * w[0,0] -3*pm(1/4) )": fns.LinCombo((
+            (GaussianRational(2), haar),
+            (GaussianRational(Fraction(1, 2)), haar),
+            (GaussianRational(-3), fns.SymbolPointMass(Fraction(1, 4), 1.0)))),
+    }
+    for text, expected in table.items():
+        assert ep.parse_functional(text, S23) == expected, text
+
 
 def test_parse_functional_errors():
     with pytest.raises(ep.ExprError):
@@ -190,3 +213,7 @@ def test_parse_functional_errors():
         ep.parse_functional("spam", S23)
     with pytest.raises(ep.ExprError):
         ep.parse_functional("haar extra", S23)
+    for text, offset in (("pm(1/3", 6), ("w[2 2]", 4)):
+        with pytest.raises(ep.ExprError) as err:
+            ep.parse_functional(text, S23)
+        assert err.value.offset == offset

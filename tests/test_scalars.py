@@ -1,5 +1,7 @@
+import operator
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
@@ -50,3 +52,20 @@ def test_string_forms():
 def test_hash_consistent_with_int_equality():
     assert GaussianRational(2) == 2
     assert hash(GaussianRational(2)) == hash(2)
+
+
+def test_mixing_with_complex_gives_complex():
+    exact = (GaussianRational(Fraction(1, 3), -2), GaussianRational(-5), ZERO)
+    floats = (0.25 - 1.5j, 3j, np.complex128(-0.1 + 0.7j))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for g in exact:
+            for z in floats:
+                left = op(g, z)
+                assert isinstance(left, complex)
+                assert left == op(complex(g), z)
+                if g:
+                    # numpy hands its scalar over as a plain complex
+                    right = op(z, g)
+                    assert isinstance(right, complex)
+                    assert right == op(complex(z), complex(g))
+    assert GaussianRational(1) != 1 + 0j and 1 + 0j != GaussianRational(1)
