@@ -629,7 +629,7 @@ def suite_norms(s: NumericalSemigroup, dims: Sequence[int] = (64, 128, 256, 512)
 
     ident = operator_norm(truncate(OperatorElement.identity(s), 32))
     shift = operator_norm(truncate(from_monomial(elementary(s, s.generators[0], False)), 32))
-    spot_ok = abs(ident - 1.0) <= 1e-8 and abs(shift - 1.0) <= 1e-8
+    spot_ok = abs(ident - 1.0) <= 1e-12 and abs(shift - 1.0) <= 1e-12
     computed = {"identity": ident, "generating_shift": shift}
     if s.is_totally_ordered():
         import math
@@ -638,9 +638,9 @@ def suite_norms(s: NumericalSemigroup, dims: Sequence[int] = (64, 128, 256, 512)
         expected_tri = 2.0 * math.cos(math.pi / (n + 1))
         computed["tridiagonal_64"] = tri
         computed["tridiagonal_closed_form"] = expected_tri
-        spot_ok &= abs(tri - expected_tri) <= 1e-6
+        spot_ok &= abs(tri - expected_tri) <= 1e-12
     reports.append(_report("spot norms: identity, generating shift, tridiagonal form",
-                           {"semigroup": str(s)}, computed, {"norm": 1.0}, 1e-6, spot_ok))
+                           {"semigroup": str(s)}, computed, {"norm": 1.0}, 1e-12, spot_ok))
     return reports
 
 

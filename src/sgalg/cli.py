@@ -19,6 +19,9 @@ from .numeric import laurent_sup_norm, operator_norm, truncate
 from .checks import SUITE_NAMES, morphism_report, run_suite
 
 SCHEMA = "sgalg-report/1"
+# Largest `sg norm --dim`: the truncation is a dense complex matrix, and one
+# SVD at this size takes seconds on one core.
+MAX_DIM = 2048
 
 
 def _emit(doc: dict) -> None:
@@ -35,6 +38,11 @@ def _gens(text: str) -> NumericalSemigroup:
 def _at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
+def _at_most(flag: str, value: int, high: int) -> None:
+    if value > high:
+        raise ValueError(f"{flag} must be at most {high}, got {value}")
 
 
 def _scalar_json(v) -> object:
@@ -95,11 +103,13 @@ def cmd_split(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    _at_least("--dim", args.dim, 1)
+    _at_most("--dim", args.dim, MAX_DIM)
     s = _gens(args.gens)
     op = rep(parse_element(args.expr, s))
     value = operator_norm(truncate(op, args.dim))
     f = op.symbol()
-    sup, sup_err = laurent_sup_norm(f) if not f.is_zero else (0.0, 0.0)
+    sup, sup_err = laurent_sup_norm(f)
     _emit(_base("norm", generators=list(s.generators), expr=args.expr, dim=args.dim,
                 truncated_norm=value, symbol_sup_norm=sup,
                 symbol_sup_norm_error=sup_err))
@@ -212,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="truncated operator norm")
     with_gens(p)
     p.add_argument("--expr", required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True,
+                   help=f"truncation size, 1 to {MAX_DIM}")
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("coproduct", help="diagonal coproduct of an expression")

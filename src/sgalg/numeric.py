@@ -49,33 +49,10 @@ def truncate(a: OperatorElement, n: int) -> TruncatedMatrix:
     return TruncatedMatrix(mat, legend)
 
 
-def operator_norm(m: Union[TruncatedMatrix, np.ndarray], tol: float = 1e-10,
-                  max_iterations: int = 100_000) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
-
-    Deterministic all-ones start; stops when the relative Rayleigh-quotient
-    change drops below tol.  Raises on non-convergence at the iteration cap.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+def operator_norm(m: Union[TruncatedMatrix, np.ndarray]) -> float:
+    """Largest singular value, from one LAPACK singular-value computation."""
     mat = m.matrix if isinstance(m, TruncatedMatrix) else np.asarray(m, dtype=np.complex128)
-    n = mat.shape[0]
-    if not np.any(mat):
-        return 0.0
-    gram = mat.conj().T @ mat
-    v = np.ones(n, dtype=np.complex128) / math.sqrt(n)
-    rayleigh = float(np.real(v.conj() @ (gram @ v)))
-    for _ in range(max_iterations):
-        u = gram @ v
-        norm_u = float(np.linalg.norm(u))
-        if norm_u == 0.0:
-            return 0.0
-        v = u / norm_u
-        new_rayleigh = float(np.real(v.conj() @ (gram @ v)))
-        if abs(new_rayleigh - rayleigh) <= tol * max(new_rayleigh, 1e-300):
-            return math.sqrt(new_rayleigh)
-        rayleigh = new_rayleigh
-    raise RuntimeError(f"power iteration did not converge in {max_iterations} steps")
+    return float(np.linalg.norm(mat, 2))
 
 
 def laurent_sup_norm(f: LaurentPolynomial, samples: int = 4096) -> tuple[float, float]:
@@ -84,7 +61,10 @@ def laurent_sup_norm(f: LaurentPolynomial, samples: int = 4096) -> tuple[float, 
         raise ValueError("need at least 16 samples")
     if f.is_zero:
         return 0.0, 0.0
-    value = max(abs(f.eval_at(2.0 * math.pi * k / samples)) for k in range(samples))
+    exponents = np.array(list(f.coeffs), dtype=np.float64)
+    coeffs = np.array([complex(v) for v in f.coeffs.values()])
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    value = float(np.abs(np.exp(1j * np.outer(theta, exponents)) @ coeffs).max())
     max_exp = max(abs(c) for c in f.coeffs)
     coeff_sum = sum(abs(v) for v in f.coeffs.values())
     bound = math.pi * max_exp * coeff_sum / samples
@@ -92,26 +72,27 @@ def laurent_sup_norm(f: LaurentPolynomial, samples: int = 4096) -> tuple[float, 
 
 
 def norm_convergence(f: LaurentPolynomial, semigroup: NumericalSemigroup,
-                     dims: Sequence[int] = (64, 128, 256, 512),
-                     tol: float = 1e-10, band: float = 0.05,
+                     dims: Sequence[int] = (64, 128, 256, 512), band: float = 0.05,
                      samples: int = 4096) -> dict:
     """Truncated norms of the lifted symbol against the circle sup norm.
 
-    The sequence must be non-decreasing within twice the power tolerance and
-    land within the acceptance band at the largest dimension.
+    Each truncation is the leading block of the next, so the exact norms never
+    decrease; the computed sequence must not drop by more than rounding
+    (1e-12 relative to the value, at least 1e-12) and must land within the
+    acceptance band at the largest dimension.
     """
     if list(dims) != sorted(dims):
         raise ValueError("dimensions must increase")
     lifted = toeplitz_lift(f, semigroup)
-    values = [operator_norm(truncate(lifted, n), tol=tol) for n in dims]
+    values = [operator_norm(truncate(lifted, n)) for n in dims]
     sup, sup_err = laurent_sup_norm(f, samples)
-    monotone = all(values[i + 1] >= values[i] - 2.0 * tol for i in range(len(values) - 1))
+    monotone = all(b >= a - 1e-12 * max(1.0, a) for a, b in zip(values, values[1:]))
     final_gap = abs(values[-1] - sup)
     passed = monotone and final_gap <= band
     return {
         "claim": "truncated norms of the lifted symbol approach the sup norm",
         "parameters": {"symbol": str(f), "semigroup": str(semigroup),
-                       "dims": list(dims), "power_tol": tol, "band": band},
+                       "dims": list(dims), "band": band},
         "computed": {"norms": values, "sup_norm": sup, "sup_norm_error": sup_err,
                      "final_gap": final_gap, "monotone": monotone},
         "expected": {"final_gap_at_most": band, "monotone": True},

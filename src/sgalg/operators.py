@@ -8,7 +8,7 @@ linearly dependent for non-totally-ordered semigroups, so the weight form
 
 Weights are exact Gaussian rationals or complex floats; the float layer
 (gauge twists, Fourier projection) uses the same elements with complex
-weights.  The symbol and splitting are defined for exact elements only.
+weights, and their symbols have complex coefficients.
 """
 
 from __future__ import annotations
@@ -74,18 +74,17 @@ def _value_ext(s: NumericalSemigroup, w: EventualWeight, x: int):
 
 
 class LaurentPolynomial:
-    """Finite combination of integer-exponent characters of the circle."""
+    """Finite combination of integer-exponent characters of the circle.
+
+    Coefficients are exact scalars or complex floats, as the weights are.
+    """
 
     __slots__ = ("coeffs", "_key")
 
-    def __init__(self, coeffs: dict[int, GaussianRational]):
-        cleaned = {}
-        for c, v in coeffs.items():
-            v = GaussianRational.coerce(v)
-            if not v.is_zero:
-                cleaned[int(c)] = v
+    def __init__(self, coeffs: dict):
+        cleaned = {int(c): as_scalar(v) for c, v in coeffs.items() if v}
         self.coeffs = cleaned
-        self._key = tuple(sorted((c, v.re, v.im) for c, v in cleaned.items()))
+        self._key = tuple(sorted(cleaned.items()))
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -93,7 +92,7 @@ class LaurentPolynomial:
 
     @classmethod
     def character(cls, c: int, coeff=1) -> "LaurentPolynomial":
-        return cls({c: GaussianRational.coerce(coeff)})
+        return cls({c: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -130,7 +129,7 @@ class LaurentPolynomial:
                     out[c] = out.get(c, ZERO) + v1 * v2
             return LaurentPolynomial(out)
         try:
-            scalar = GaussianRational.coerce(other)
+            scalar = as_scalar(other)
         except TypeError:
             return NotImplemented
         return LaurentPolynomial({c: scalar * v for c, v in self.coeffs.items()})
@@ -140,11 +139,6 @@ class LaurentPolynomial:
     def conjugate_reflect(self) -> "LaurentPolynomial":
         """Adjoint of the function: conjugate coefficients, negate exponents."""
         return LaurentPolynomial({-c: v.conjugate() for c, v in self.coeffs.items()})
-
-    def eval_at(self, theta: float) -> complex:
-        import cmath
-        return sum((v.to_complex() * cmath.exp(1j * c * theta)
-                    for c, v in self.coeffs.items()), 0j)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):

@@ -9,6 +9,7 @@ agree.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from .semigroup import NumericalSemigroup
@@ -49,7 +50,10 @@ class EventualSet:
     def contains(self, d: int) -> bool:
         if not self.semigroup.contains(d):
             return False
-        return d >= self.threshold or d in self.members_below
+        if d >= self.threshold:
+            return True
+        i = bisect_left(self.members_below, d)
+        return i < len(self.members_below) and self.members_below[i] == d
 
     def __contains__(self, d: int) -> bool:
         return self.contains(d)

@@ -194,3 +194,17 @@ def test_table_sizes_must_be_non_negative(capsys):
         doc = json.loads(out)
         assert doc["error"]["kind"] == "input"
         assert argv[-2] in doc["error"]["message"]
+
+
+def test_norm_dimension_is_bounded(capsys, monkeypatch):
+    # Out-of-range sizes are rejected before any matrix is built.
+    def no_truncate(*args):
+        raise AssertionError("truncate reached")
+    monkeypatch.setattr("sgalg.cli.truncate", no_truncate)
+    for dim in ("2049", "10000000000", "0", "-4"):
+        code, out = run_cli(capsys, "norm", "--gens", "1", "--expr", "T(1)",
+                            "--dim", dim)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["kind"] == "input"
+        assert "--dim" in doc["error"]["message"]

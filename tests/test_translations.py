@@ -50,6 +50,20 @@ def test_eventual_set_roundtrip(raw):
         assert d.contains(m) == (m not in excluded)
 
 
+def test_eventual_set_contains_matches_excluded():
+    rng = random.Random(71)
+    for s in (S23, NumericalSemigroup([3, 7]), NumericalSemigroup([11, 13]),
+              NumericalSemigroup([31, 37])):
+        members = s.members_upto(s.frobenius + 40)
+        sets = [EventualSet.full(s), EventualSet(s, members)]
+        for _ in range(20):
+            sets.append(EventualSet(s, rng.sample(members, rng.randint(1, len(members)))))
+        for e in sets:
+            excluded = set(e.excluded())
+            for d in range(-3, e.threshold + 6):
+                assert e.contains(d) == (s.contains(d) and d not in excluded)
+
+
 # -- elementary translations ---------------------------------------------------
 
 
