@@ -11,10 +11,10 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import GaussianRational, I_UNIT, ONE, ZERO
+from .scalars import GaussianRational, I_UNIT, ONE
 from .semigroup import NumericalSemigroup, automorphism_multipliers
-from .translations import (PartialTranslation, Word, compose, elementary,
-                           evaluate_word, max_translation, word_action)
+from .translations import (Word, compose, elementary, evaluate_word,
+                           max_translation, word_action)
 from .operators import (LaurentPolynomial, OperatorElement, from_monomial,
                         generator_commutator, toeplitz_lift)
 from . import quantum
@@ -52,11 +52,9 @@ _COEFF_POOL = (ONE, GaussianRational(-1), GaussianRational(2),
 
 def random_free_element(rng: random.Random, s: NumericalSemigroup,
                         max_terms: int = 5, max_word_len: int = 6) -> FreeElement:
-    terms: dict[PartialTranslation, GaussianRational] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        v = evaluate_word(s, random_word(rng, s, max_word_len))
-        terms[v] = terms.get(v, ZERO) + rng.choice(_COEFF_POOL)
-    return FreeElement(s, terms)
+    return FreeElement.collect(s, ((evaluate_word(s, random_word(rng, s, max_word_len)),
+                                    rng.choice(_COEFF_POOL))
+                                   for _ in range(rng.randint(1, max_terms))))
 
 
 def random_operator(rng: random.Random, s: NumericalSemigroup,

@@ -22,17 +22,40 @@ SCHEMA = "sgalg-report/1"
 # Largest `sg norm --dim`: the truncation is a dense complex matrix, and one
 # SVD at this size takes seconds on one core.
 MAX_DIM = 2048
+# Largest membership sieve, min*max of a generator list: the semigroup is
+# built by a Python loop over that many integers.
+MAX_SIEVE = 1_000_000
+# Largest number of words `sg morphism` enumerates, the sum of (2k)^l over
+# lengths l up to --max-len for k minimal generators of the source.
+MAX_WORDS = 100_000
+# Largest `sg eval --basis` and `sg coproduct --pairs` tables.
+MAX_BASIS = 4096
+MAX_PAIRS = 256
 
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc) + "\n")
 
 
-def _gens(text: str) -> NumericalSemigroup:
+def _gens(text: str, flag: str = "--gens") -> NumericalSemigroup:
     try:
-        return NumericalSemigroup([int(p) for p in text.split(",") if p.strip()])
+        gens = [int(p) for p in text.split(",") if p.strip()]
+        if gens:
+            _at_most(f"{flag} min*max", min(gens) * max(gens), MAX_SIEVE)
+        return NumericalSemigroup(gens)
     except ValueError as exc:
         raise ExprError(f"bad generator list {text!r}: {exc}") from exc
+
+
+def _max_word_len(s: NumericalSemigroup) -> int:
+    """Longest word length whose word count over s stays within MAX_WORDS."""
+    length, words, power = 0, 0, 1
+    while True:
+        power *= 2 * len(s.generators)
+        if words + power > MAX_WORDS:
+            return length
+        words += power
+        length += 1
 
 
 def _at_least(flag: str, value: int, low: int) -> None:
@@ -67,6 +90,7 @@ def cmd_info(args) -> int:
 
 def cmd_eval(args) -> int:
     _at_least("--basis", args.basis, 0)
+    _at_most("--basis", args.basis, MAX_BASIS)
     s = _gens(args.gens)
     x = parse_element(args.expr, s)
     op = rep(x)
@@ -118,6 +142,7 @@ def cmd_norm(args) -> int:
 
 def cmd_coproduct(args) -> int:
     _at_least("--pairs", args.pairs, 0)
+    _at_most("--pairs", args.pairs, MAX_PAIRS)
     s = _gens(args.gens)
     x = parse_element(args.expr, s)
     t = coproduct(x)
@@ -171,8 +196,9 @@ def cmd_convolve(args) -> int:
 
 def cmd_morphism(args) -> int:
     _at_least("--max-len", args.max_len, 1)
-    s1 = _gens(getattr(args, "from"))
-    s2 = _gens(args.to)
+    s1 = _gens(getattr(args, "from"), "--from")
+    s2 = _gens(args.to, "--to")
+    _at_most(f"--max-len over {s1}", args.max_len, _max_word_len(s1))
     report = morphism_report(s1, s2, args.mult, args.max_len)
     _emit(_base("morphism", **report))
     return 1 if report["witness_found"] else 0
@@ -196,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     def with_gens(p):
         p.add_argument("--gens", required=True,
                        help="comma-separated generators; 1 means the full "
-                            "non-negative integers")
+                            f"non-negative integers; min*max at most {MAX_SIEVE}")
 
     p = sub.add_parser("info", help="gaps, frobenius number, order totality")
     with_gens(p)
@@ -206,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     with_gens(p)
     p.add_argument("--expr", required=True)
     p.add_argument("--basis", type=int, default=0,
-                   help="also list the action on the first N basis points")
+                   help="also list the action on the first N basis points, "
+                        f"at most {MAX_BASIS}")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("symbol", help="image in the commutative quotient")
@@ -230,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     with_gens(p)
     p.add_argument("--expr", required=True)
     p.add_argument("--pairs", type=int, default=0,
-                   help="also act on pairs from the first N basis points")
+                   help="also act on pairs from the first N basis points, "
+                        f"at most {MAX_PAIRS}")
     p.set_defaults(fn=cmd_coproduct)
 
     p = sub.add_parser("grouplike", help="detect a canonical isometric generator")
@@ -255,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True)
     p.add_argument("--mult", type=int, default=None,
                    help="single multiplier; scans the admissible 0..6 when absent")
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=int, default=6,
+                   help=f"longest word; at most {MAX_WORDS} words in all")
     p.set_defaults(fn=cmd_morphism)
 
     p = sub.add_parser("check", help="run a named verification suite")

@@ -61,12 +61,12 @@ def laurent_sup_norm(f: LaurentPolynomial, samples: int = 4096) -> tuple[float, 
         raise ValueError("need at least 16 samples")
     if f.is_zero:
         return 0.0, 0.0
-    exponents = np.array(list(f.coeffs), dtype=np.float64)
-    coeffs = np.array([complex(v) for v in f.coeffs.values()])
+    exponents = np.array(list(f.terms), dtype=np.float64)
+    coeffs = np.array([complex(v) for v in f.terms.values()])
     theta = 2.0 * math.pi * np.arange(samples) / samples
     value = float(np.abs(np.exp(1j * np.outer(theta, exponents)) @ coeffs).max())
-    max_exp = max(abs(c) for c in f.coeffs)
-    coeff_sum = sum(abs(v) for v in f.coeffs.values())
+    max_exp = max(abs(c) for c in f.terms)
+    coeff_sum = sum(abs(v) for v in f.terms.values())
     bound = math.pi * max_exp * coeff_sum / samples
     return value, bound
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .scalars import GaussianRational, ONE, ZERO, as_scalar
+from .scalars import Combination, GaussianRational, ONE, ZERO, as_scalar
 from .semigroup import NumericalSemigroup
 from .translations import PartialTranslation, elementary, max_translation
 
@@ -73,92 +73,47 @@ def _value_ext(s: NumericalSemigroup, w: EventualWeight, x: int):
     return w.value(x) if s.contains(x) else 0
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(Combination):
     """Finite combination of integer-exponent characters of the circle.
 
     Coefficients are exact scalars or complex floats, as the weights are.
     """
 
-    __slots__ = ("coeffs", "_key")
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict):
-        cleaned = {int(c): as_scalar(v) for c, v in coeffs.items() if v}
-        self.coeffs = cleaned
-        self._key = tuple(sorted(cleaned.items()))
-
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls({})
+    def __init__(self, terms: dict):
+        super().__init__(None, terms)
 
     @classmethod
     def character(cls, c: int, coeff=1) -> "LaurentPolynomial":
         return cls({c: coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, c: int) -> GaussianRational:
-        return self.coeffs.get(c, ZERO)
+        return self.terms.get(c, ZERO)
 
     def exponents(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for c, v in other.coeffs.items():
-            out[c] = out.get(c, ZERO) + v
-        return LaurentPolynomial(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPolynomial({c: -v for c, v in self.coeffs.items()})
+        return tuple(sorted(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
-            out: dict[int, GaussianRational] = {}
-            for c1, v1 in self.coeffs.items():
-                for c2, v2 in other.coeffs.items():
-                    c = c1 + c2
-                    out[c] = out.get(c, ZERO) + v1 * v2
-            return LaurentPolynomial(out)
-        try:
-            scalar = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return LaurentPolynomial({c: scalar * v for c, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
+            return self._product(other, int.__add__)
+        return super().__mul__(other)
 
     def conjugate_reflect(self) -> "LaurentPolynomial":
         """Adjoint of the function: conjugate coefficients, negate exponents."""
-        return LaurentPolynomial({-c: v.conjugate() for c, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        return LaurentPolynomial({-c: v.conjugate() for c, v in self.terms.items()})
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
-        parts = [f"({v})X^{c}" for c, v in sorted(self.coeffs.items())]
+        parts = [f"({v})X^{c}" for c, v in sorted(self.terms.items())]
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"LaurentPolynomial({self.coeffs!r})"
+        return f"LaurentPolynomial({self.terms!r})"
 
     def to_json_dict(self) -> dict:
-        return {"coefficients": [[c, str(v)] for c, v in sorted(self.coeffs.items())]}
+        return {"coefficients": [[c, str(v)] for c, v in sorted(self.terms.items())]}
 
 
 class OperatorElement:
@@ -413,7 +368,7 @@ def from_monomial(v: PartialTranslation) -> OperatorElement:
 def toeplitz_lift(f: LaurentPolynomial, semigroup: NumericalSemigroup) -> OperatorElement:
     """Combination of widest translations with prescribed symbol f."""
     acc = OperatorElement.zero(semigroup)
-    for c, coeff in f.coeffs.items():
+    for c, coeff in f.terms.items():
         acc = acc + from_monomial(max_translation(semigroup, c)).scale(coeff)
     return acc
 

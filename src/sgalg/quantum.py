@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import Combination, GaussianRational, ONE, ZERO
 from .semigroup import NumericalSemigroup, morphism_multipliers
 from .operators import LaurentPolynomial, OperatorElement, from_monomial
 from .translations import (PartialTranslation, Word, compose, elementary,
@@ -24,26 +24,10 @@ def _pt_sort_key(v: PartialTranslation):
     return v.sort_key
 
 
-class FreeElement:
+class FreeElement(Combination):
     """Formal combination of monomials; the monomials are a free basis."""
 
-    __slots__ = ("semigroup", "terms", "_key", "_hash")
-
-    def __init__(self, semigroup: NumericalSemigroup,
-                 terms: dict[PartialTranslation, GaussianRational]):
-        cleaned = {}
-        for v, coeff in terms.items():
-            coeff = GaussianRational.coerce(coeff)
-            if v.semigroup != semigroup:
-                raise ValueError("monomial over a different semigroup")
-            if not coeff.is_zero:
-                cleaned[v] = coeff
-        self.semigroup = semigroup
-        self.terms = cleaned
-        self._key = (semigroup,
-                     tuple((v, c.re, c.im) for v, c in
-                           sorted(cleaned.items(), key=lambda kv: _pt_sort_key(kv[0]))))
-        self._hash = None
+    __slots__ = ()
 
     @classmethod
     def zero(cls, semigroup: NumericalSemigroup) -> "FreeElement":
@@ -51,64 +35,19 @@ class FreeElement:
 
     @classmethod
     def monomial(cls, v: PartialTranslation, coeff=1) -> "FreeElement":
-        return cls(v.semigroup, {v: GaussianRational.coerce(coeff)})
+        return cls(v.semigroup, {v: coeff})
 
     @classmethod
     def identity(cls, semigroup: NumericalSemigroup) -> "FreeElement":
         return cls.monomial(elementary(semigroup, 0, False))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def support(self) -> list[PartialTranslation]:
         return sorted(self.terms, key=_pt_sort_key)
 
-    def _check_same(self, other: "FreeElement"):
-        if self.semigroup != other.semigroup:
-            raise ValueError("elements over different semigroups")
-
-    def __add__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        self._check_same(other)
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            out[v] = out.get(v, ZERO) + c
-        return FreeElement(self.semigroup, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scale(GaussianRational(-1))
-
-    def scale(self, scalar) -> "FreeElement":
-        scalar = GaussianRational.coerce(scalar)
-        return FreeElement(self.semigroup,
-                           {v: scalar * c for v, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, FreeElement):
-            self._check_same(other)
-            out: dict[PartialTranslation, GaussianRational] = {}
-            for v, cv in self.terms.items():
-                for w, cw in other.terms.items():
-                    p = compose(v, w)
-                    out[p] = out.get(p, ZERO) + cv * cw
-            return FreeElement(self.semigroup, out)
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    def __rmul__(self, other):
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
+            return self._product(other, compose)
+        return super().__mul__(other)
 
     def star(self) -> "FreeElement":
         """Conjugate-linear involution: adjoint monomials, conjugated coefficients."""
@@ -122,91 +61,25 @@ class FreeElement:
             raise ValueError(f"{e} is not a member")
         te = elementary(s, e, False)
         te_star = elementary(s, e, True)
-        out: dict[PartialTranslation, GaussianRational] = {}
-        for v, c in self.terms.items():
-            p = compose(te_star, compose(v, te))
-            out[p] = out.get(p, ZERO) + c
-        return FreeElement(s, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key)
-        return self._hash
+        return FreeElement.collect(s, ((compose(te_star, compose(v, te)), c)
+                                       for v, c in self.terms.items()))
 
     def __str__(self):
         if self.is_zero:
             return "0"
-        return " + ".join(f"({c})*{v}" for v, c in
-                          sorted(self.terms.items(), key=lambda kv: _pt_sort_key(kv[0])))
+        return " + ".join(f"({self.terms[v]})*{v}" for v in self.support())
 
     def __repr__(self):
         return f"FreeElement({self.semigroup!r}, {self.terms!r})"
 
     def to_json_list(self) -> list:
-        return [[str(c), v.to_json_dict()] for v, c in
-                sorted(self.terms.items(), key=lambda kv: _pt_sort_key(kv[0]))]
+        return [[str(self.terms[v]), v.to_json_dict()] for v in self.support()]
 
 
-class FreeTensor:
+class FreeTensor(Combination):
     """Formal combination of ordered monomial pairs over one semigroup."""
 
-    __slots__ = ("semigroup", "terms", "_key", "_hash")
-
-    def __init__(self, semigroup: NumericalSemigroup,
-                 terms: dict[tuple[PartialTranslation, PartialTranslation],
-                             GaussianRational]):
-        cleaned = {}
-        for (v, w), coeff in terms.items():
-            coeff = GaussianRational.coerce(coeff)
-            if v.semigroup != semigroup or w.semigroup != semigroup:
-                raise ValueError("tensor leg over a different semigroup")
-            if not coeff.is_zero:
-                cleaned[(v, w)] = coeff
-        self.semigroup = semigroup
-        self.terms = cleaned
-        self._key = (semigroup,
-                     tuple((v, w, c.re, c.im) for (v, w), c in
-                           sorted(cleaned.items(),
-                                  key=lambda kv: (_pt_sort_key(kv[0][0]),
-                                                  _pt_sort_key(kv[0][1])))))
-        self._hash = None
-
-    @classmethod
-    def zero(cls, semigroup: NumericalSemigroup) -> "FreeTensor":
-        return cls(semigroup, {})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, FreeTensor):
-            return NotImplemented
-        if self.semigroup != other.semigroup:
-            raise ValueError("tensors over different semigroups")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) + c
-        return FreeTensor(self.semigroup, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, FreeTensor):
-            return NotImplemented
-        return self + other.scale(GaussianRational(-1))
-
-    def scale(self, scalar) -> "FreeTensor":
-        scalar = GaussianRational.coerce(scalar)
-        return FreeTensor(self.semigroup,
-                          {k: scalar * c for k, c in self.terms.items()})
-
-    def flip(self) -> "FreeTensor":
-        return FreeTensor(self.semigroup,
-                          {(w, v): c for (v, w), c in self.terms.items()})
+    __slots__ = ()
 
     def apply(self, pair: tuple[int, int]) -> dict[tuple[int, int], GaussianRational]:
         """Basis action at a member pair; either dead leg kills the term."""
@@ -214,29 +87,9 @@ class FreeTensor:
         s = self.semigroup
         if not s.contains(c) or not s.contains(d):
             raise ValueError(f"pair {pair} is not a member pair")
-        out: dict[tuple[int, int], GaussianRational] = {}
-        for (v, w), coeff in self.terms.items():
-            iv = v.apply(c)
-            iw = w.apply(d)
-            if iv is None or iw is None:
-                continue
-            key = (iv, iw)
-            acc = out.get(key, ZERO) + coeff
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeTensor):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key)
-        return self._hash
+        images = (((v.apply(c), w.apply(d)), coeff)
+                  for (v, w), coeff in self.terms.items())
+        return Combination.collect(None, (p for p in images if None not in p[0])).terms
 
     def __repr__(self):
         return f"FreeTensor({self.semigroup!r}, {len(self.terms)} terms)"
@@ -269,29 +122,17 @@ def coproduct(x: FreeElement) -> FreeTensor:
 
 def tensor_of(x: FreeElement, y: FreeElement) -> FreeTensor:
     """Plain tensor x (x) y, expanded bilinearly over both bases."""
-    x._check_same(y)
-    out: dict[tuple[PartialTranslation, PartialTranslation], GaussianRational] = {}
-    for v, cv in x.terms.items():
-        for w, cw in y.terms.items():
-            out[(v, w)] = out.get((v, w), ZERO) + cv * cw
-    return FreeTensor(x.semigroup, out)
+    return x._product(y, lambda v, w: (v, w), FreeTensor)
 
 
 def tensor_multiply(s: FreeTensor, t: FreeTensor) -> FreeTensor:
-    if s.semigroup != t.semigroup:
-        raise ValueError("tensors over different semigroups")
-    out: dict[tuple[PartialTranslation, PartialTranslation], GaussianRational] = {}
-    for (v1, w1), c1 in s.terms.items():
-        for (v2, w2), c2 in t.terms.items():
-            key = (compose(v1, v2), compose(w1, w2))
-            out[key] = out.get(key, ZERO) + c1 * c2
-    return FreeTensor(s.semigroup, out)
+    return s._product(t, lambda p, q: (compose(p[0], q[0]), compose(p[1], q[1])))
 
 
 def tensor_adjoint(s: FreeTensor) -> FreeTensor:
-    return FreeTensor(s.semigroup,
-                      {(v.adjoint(), w.adjoint()): c.conjugate()
-                       for (v, w), c in s.terms.items()})
+    return FreeTensor.collect(s.semigroup,
+                              (((v.adjoint(), w.adjoint()), c.conjugate())
+                               for (v, w), c in s.terms.items()))
 
 
 # -- weak Hopf structure -------------------------------------------------------
@@ -299,11 +140,8 @@ def tensor_adjoint(s: FreeTensor) -> FreeTensor:
 
 def weak_antipode(x: FreeElement) -> FreeElement:
     """Linear extension of monomial adjoint; coefficients are untouched."""
-    out: dict[PartialTranslation, GaussianRational] = {}
-    for v, c in x.terms.items():
-        w = v.adjoint()
-        out[w] = out.get(w, ZERO) + c
-    return FreeElement(x.semigroup, out)
+    return FreeElement.collect(x.semigroup,
+                               ((v.adjoint(), c) for v, c in x.terms.items()))
 
 
 @dataclass
@@ -317,16 +155,11 @@ class WeakHopfResult:
 def weak_hopf_check(x: FreeElement) -> WeakHopfResult:
     """Both antipode axioms, folded over the triple coproduct V (x) V (x) V."""
     s = x.semigroup
-    fold_id: dict[PartialTranslation, GaussianRational] = {}
-    fold_t: dict[PartialTranslation, GaussianRational] = {}
-    for v, c in x.terms.items():
-        vs = v.adjoint()
-        p1 = compose(compose(v, vs), v)
-        fold_id[p1] = fold_id.get(p1, ZERO) + c
-        p2 = compose(compose(vs, v), vs)
-        fold_t[p2] = fold_t.get(p2, ZERO) + c
-    lhs_id = FreeElement(s, fold_id)
-    lhs_t = FreeElement(s, fold_t)
+    triples = [(v, v.adjoint(), c) for v, c in x.terms.items()]
+    lhs_id = FreeElement.collect(s, ((compose(compose(v, vs), v), c)
+                                     for v, vs, c in triples))
+    lhs_t = FreeElement.collect(s, ((compose(compose(vs, v), vs), c)
+                                    for v, vs, c in triples))
 
     expect_t = weak_antipode(x)
     ok = (lhs_id == x) and (lhs_t == expect_t)
@@ -433,13 +266,8 @@ def corner_diagram_check(x: FreeElement, a: int, window: int) -> CornerResult:
     for c in s.members_upto(window):
         if not s.contains(c + a):
             continue
-        lhs: dict[int, GaussianRational] = {}
-        for (l, _k), coeff in t.apply((c, c + a)).items():
-            acc = lhs.get(l, ZERO) + coeff
-            if acc.is_zero:
-                lhs.pop(l, None)
-            else:
-                lhs[l] = acc
+        lhs = Combination.collect(None, ((l, coeff) for (l, _k), coeff
+                                         in t.apply((c, c + a)).items())).terms
         rhs = {m: coeff for m, coeff in op.apply(c).items()
                if s.contains(m + a)}
         if lhs != rhs:

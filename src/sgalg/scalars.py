@@ -3,11 +3,13 @@
 A weight or a functional value is either such an exact scalar or a Python
 ``complex``.  Combining the two by ``+ - * /``, in either order, gives the
 float result of the same operation on ``complex(exact)``; the two kinds
-never compare equal.
+never compare equal.  ``Combination`` is the one finite linear combination
+over basis keys with such coefficients.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
@@ -169,3 +171,85 @@ def as_scalar(x):
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I_UNIT = GaussianRational(0, 1)
+
+
+class Combination:
+    """Finite linear combination of basis keys, optionally over a semigroup.
+
+    Coefficients pass through ``as_scalar`` and zeros are dropped, so two
+    combinations are equal exactly when their term dicts are.  Binary
+    operations require operands of one kind over one semigroup.
+    """
+
+    __slots__ = ("semigroup", "terms")
+
+    def __init__(self, semigroup, terms: dict):
+        self.semigroup = semigroup
+        self.terms = {k: as_scalar(c) for k, c in terms.items() if c}
+
+    @classmethod
+    def _new(cls, semigroup, terms: dict):
+        # Bypasses a subclass's own constructor signature.
+        out = cls.__new__(cls)
+        Combination.__init__(out, semigroup, terms)
+        return out
+
+    @classmethod
+    def collect(cls, semigroup, pairs):
+        """The combination of (key, coefficient) pairs, repeated keys summed."""
+        out = {}
+        for k, c in pairs:
+            out[k] = out[k] + c if k in out else c
+        return cls._new(semigroup, out)
+
+    def _same(self, other) -> None:
+        if self.semigroup != other.semigroup:
+            raise ValueError("operands over different semigroups")
+
+    def _product(self, other, key_product, cls=None):
+        """Bilinear product: key pairs combine by key_product, coefficients multiply."""
+        self._same(other)
+        return (cls or type(self)).collect(
+            self.semigroup, ((key_product(k1, k2), c1 * c2)
+                             for k1, c1 in self.terms.items()
+                             for k2, c2 in other.terms.items()))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._same(other)
+        return self.collect(self.semigroup,
+                            itertools.chain(self.terms.items(), other.terms.items()))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new(self.semigroup, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, scalar):
+        scalar = as_scalar(scalar)
+        return self._new(self.semigroup,
+                         {k: scalar * c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        try:
+            return self.scale(other)
+        except TypeError:
+            return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.semigroup == other.semigroup and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.semigroup, frozenset(self.terms.items())))

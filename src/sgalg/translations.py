@@ -125,10 +125,6 @@ class PartialTranslation:
         excluded = [d for d in s.members_upto(bound) if not self.domain.contains(d - c)]
         return PartialTranslation(s, -c, EventualSet(s, excluded))
 
-    @property
-    def is_projection(self) -> bool:
-        return self.index == 0
-
     def __eq__(self, other):
         if not isinstance(other, PartialTranslation):
             return NotImplemented

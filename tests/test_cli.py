@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from sgalg import cli
 from sgalg.cli import main
+from sgalg.semigroup import NumericalSemigroup
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +212,39 @@ def test_norm_dimension_is_bounded(capsys, monkeypatch):
         doc = json.loads(out)
         assert doc["error"]["kind"] == "input"
         assert "--dim" in doc["error"]["message"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached past the size check")
+
+
+@pytest.mark.parametrize("flag, argv, guarded", [
+    ("--gens", ("split", "--gens", "1000,1001", "--expr", "T(1000)"),
+     "sgalg.cli.NumericalSemigroup"),
+    ("--from", ("morphism", "--from", "2,500001", "--to", "1"),
+     "sgalg.cli.NumericalSemigroup"),
+    ("--to", ("morphism", "--from", "1", "--to", "1000,1001"),
+     "sgalg.cli.morphism_report"),
+    ("--max-len", ("morphism", "--from", "2,3", "--to", "1", "--max-len", "9"),
+     "sgalg.cli.morphism_report"),
+    ("--basis", ("eval", "--gens", "2,3", "--expr", "T(2)", "--basis", "4097"),
+     "sgalg.cli._gens"),
+    ("--pairs", ("coproduct", "--gens", "2,3", "--expr", "T(2)", "--pairs", "257"),
+     "sgalg.cli._gens"),
+])
+def test_sizes_are_bounded(capsys, monkeypatch, flag, argv, guarded):
+    # Each size past its limit is rejected before the work it would size.
+    monkeypatch.setattr(guarded, _refuse)
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"]["kind"] == "input"
+    assert flag in doc["error"]["message"]
+
+
+def test_word_length_bound_follows_the_source():
+    # Sum of (2k)^l over l <= L: 87,380 words at L=8 over S(2,3), 65,534 at
+    # L=15 over Z, and one more letter passes 100,000 in both.
+    assert cli._max_word_len(NumericalSemigroup([2, 3])) == 8
+    assert cli._max_word_len(NumericalSemigroup([1])) == 15
+    assert cli._max_word_len(NumericalSemigroup([3, 5, 7])) == 6

@@ -94,7 +94,7 @@ def test_laurent_sup_norm_matches_scalar_loop():
     samples = 4096
     for f in default_norm_symbols():
         loop = max(abs(sum(complex(v) * cmath.exp(1j * c * (2.0 * math.pi * k / samples))
-                           for c, v in f.coeffs.items()))
+                           for c, v in f.terms.items()))
                    for k in range(samples))
         value, _bound = laurent_sup_norm(f, samples)
         assert abs(value - loop) < 1e-14
@@ -138,8 +138,8 @@ def test_gauge_twist_rotates_symbol():
         for theta in (0.5, -1.3, 2.9):
             twisted = gauge_twist(x, theta)
             g = twisted.symbol()
-            assert set(g.coeffs) == set(f.coeffs)
-            for c, v in f.coeffs.items():
+            assert set(g.terms) == set(f.terms)
+            for c, v in f.terms.items():
                 assert abs(g.coefficient(c) - cmath.exp(1j * c * theta) * complex(v)) < 1e-12
             _lifted, ideal_part = twisted.split()
             assert ideal_part.in_ideal() and not twisted.in_ideal()

@@ -281,7 +281,7 @@ def test_adjoint_involutive_and_anti_multiplicative():
 def test_laurent_polynomial_arithmetic():
     f = LaurentPolynomial({1: ONE, -1: ONE})
     g = LaurentPolynomial({2: I_UNIT})
-    assert (f * g).coeffs == {3: I_UNIT, 1: I_UNIT}
+    assert (f * g).terms == {3: I_UNIT, 1: I_UNIT}
     assert (f - f).is_zero
     assert f.conjugate_reflect() == f
     assert g.conjugate_reflect() == LaurentPolynomial({-2: GaussianRational(0, -1)})

@@ -5,7 +5,7 @@ import pytest
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import elementary, evaluate_word, max_translation
-from sgalg.operators import OperatorElement, from_monomial
+from sgalg.operators import LaurentPolynomial, OperatorElement, from_monomial
 from sgalg import quantum
 from sgalg.quantum import (FreeElement, FreeTensor, coaction_fixed,
                            coideal_decomposition, coproduct, corner_diagram_check,
@@ -39,6 +39,58 @@ def test_rep_examples():
     assert rep(dependence_element()).is_zero
     for v in distinct_monomials(S23, 3):
         assert not rep(FreeElement.monomial(v)).is_zero
+
+
+# -- linear combinations -----------------------------------------------------------
+
+
+def random_terms(rng, s, count):
+    return [(evaluate_word(s, tuple((rng.choice(s.generators), rng.random() < 0.5)
+                                    for _ in range(rng.randint(1, 4)))),
+             rng.choice((ONE, GaussianRational(-2), I_UNIT, GaussianRational(1, -1))))
+            for _ in range(count)]
+
+
+def test_operands_over_different_semigroups_are_refused():
+    x = mono(S23, (2, False))
+    z = mono(Z, (1, False))
+    with pytest.raises(ValueError):
+        x + z
+    with pytest.raises(ValueError):
+        x * z
+    with pytest.raises(ValueError):
+        tensor_of(x, z)
+    with pytest.raises(ValueError):
+        tensor_multiply(coproduct(x), coproduct(z))
+    with pytest.raises(TypeError):
+        LaurentPolynomial({1: ONE}) + x
+
+
+def test_equality_and_hash_ignore_insertion_order():
+    rng = random.Random(43)
+    for _ in range(30):
+        terms = random_terms(rng, S23, rng.randint(1, 6))
+        x = FreeElement.collect(S23, terms)
+        y = FreeElement.collect(S23, reversed(terms))
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        w = FreeElement.collect(S23, shuffled)
+        assert x == y == w
+        assert hash(x) == hash(y) == hash(w)
+        other = FreeElement.collect(S23, random_terms(rng, S23, 3))
+        assert x + other == other + x
+        assert hash(x + other) == hash(other + x)
+        assert x - x == FreeElement.zero(S23)
+
+
+def test_complex_scaling_of_free_elements():
+    rng = random.Random(47)
+    for z in (0.5 - 0.25j, complex(0, -3), 1e-3 + 2j):
+        x = FreeElement.collect(S23, random_terms(rng, S23, 4))
+        scaled = x.scale(z)
+        assert all(isinstance(c, complex) for c in scaled.terms.values())
+        assert z * x == scaled
+        assert rep(scaled).deviation_from(rep(x).scale(z)) <= 1e-12
 
 
 # -- coproduct -------------------------------------------------------------------
