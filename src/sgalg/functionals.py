@@ -83,20 +83,6 @@ def phi_star(xi: Functional, s: NumericalSemigroup, e: int) -> Functional:
     return ShiftPullback(xi, e)
 
 
-def is_exact(xi: Functional) -> bool:
-    if isinstance(xi, MatrixCoeff):
-        return True
-    if isinstance(xi, SymbolPointMass):
-        return False
-    if isinstance(xi, LinCombo):
-        return all(is_exact(f) for _c, f in xi.terms)
-    if isinstance(xi, Convolution):
-        return is_exact(xi.left) and is_exact(xi.right)
-    if isinstance(xi, ShiftPullback):
-        return is_exact(xi.inner)
-    raise TypeError(f"not a functional: {xi!r}")
-
-
 def eval_on_monomial(xi: Functional, v: PartialTranslation) -> Scalar:
     if isinstance(xi, MatrixCoeff):
         if v.domain.contains(xi.b) and xi.b + v.index == xi.a:

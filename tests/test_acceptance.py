@@ -62,9 +62,9 @@ def test_criterion_5_haar_convolution_suite():
     _criterion(5, "absorbing state, convolution algebra, point masses", ok)
 
 
-def test_criterion_6_group_like_rigidity():
+def test_criterion_6_group_like_rigidity(group_like_invariants):
     pool = (ONE, GaussianRational(-1), GaussianRational(2))
-    found = group_like_survey(S23, max_word_len=4, coefficients=pool, max_terms=3)
+    found = group_like_survey(S23, max_word_len=4, coefficients=pool)
 
     # independent oracle: a short word is a total shift exactly when all of
     # its starred-step offsets are members; collect those words' indices
@@ -75,6 +75,7 @@ def test_criterion_6_group_like_rigidity():
             if all(S23.contains(t) for t in word_offsets(S23, word)):
                 expected.add(sum(-a if starred else a for a, starred in word))
     ok = found == expected
+    ok = ok and group_like_invariants(S23, max_word_len=4, coefficients=pool, max_terms=3)
     _criterion(6, f"group-like isometries are exactly the canonical shifts "
                   f"({sorted(found)})", ok)
 

@@ -1,0 +1,149 @@
+"""The verification suites' reports: fixed keys when passing, a replayable
+first counterexample when failing."""
+
+import json
+import re
+from fractions import Fraction
+
+from sgalg import checks, cli, quantum
+from sgalg.exprparse import parse_element
+from sgalg.quantum import FreeElement, coproduct
+from sgalg.scalars import GaussianRational
+from sgalg.semigroup import NumericalSemigroup
+from sgalg.translations import EventualSet, PartialTranslation
+
+S23 = NumericalSemigroup([2, 3])
+REPORT_KEYS = {"claim", "parameters", "computed", "expected", "tolerance", "pass"}
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def failing(reports):
+    return [r for r in reports if not r["pass"]]
+
+
+def word_of(expr: str):
+    """Letters of a rendered word such as 'T(3)*T*(2)', in operator order."""
+    return tuple((int(a), star == "*") for star, a in re.findall(r"T(\*?)\((\d+)\)", expr))
+
+
+def scalar_of(text: str) -> GaussianRational:
+    re_part, sign, im_part = re.fullmatch(
+        r"(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)?i)?", text).groups()
+    imag = Fraction(im_part or 1) if sign else Fraction(0)
+    return GaussianRational(Fraction(re_part), -imag if sign == "-" else imag)
+
+
+def free_element_of(s, items) -> FreeElement:
+    """Inverse of FreeElement.to_json_list."""
+    terms = {}
+    for coeff, pt in items:
+        excluded = [m for m in s.members_upto(pt["threshold"] - 1)
+                    if m not in pt["members_below"]]
+        terms[PartialTranslation(s, pt["index"], EventualSet(s, excluded))] = scalar_of(coeff)
+    return FreeElement(s, terms)
+
+
+def test_passing_reports_keep_their_keys(capsys):
+    code, doc = run_cli(capsys, "check", "--gens", "2,3", "--suite", "all")
+    assert code == 0 and doc["pass"]
+    for report in doc["reports"]:
+        assert set(report) == REPORT_KEYS
+        assert report["pass"] is True
+        assert "counterexample" not in report["computed"]
+
+
+def corrupt_word_action(monkeypatch):
+    """A basis-action oracle that kills every point under words of four or more letters."""
+    real = checks.word_action
+
+    def corrupted(s, word, d):
+        return None if len(word) >= 4 else real(s, word, d)
+
+    monkeypatch.setattr(checks, "word_action", corrupted)
+    return real, corrupted
+
+
+def test_inverse_counterexample_replays(monkeypatch):
+    real, corrupted = corrupt_word_action(monkeypatch)
+    reports = checks.suite_inverse(S23, n_words=60)
+    (report,) = failing(reports)
+    assert report["claim"] == "normal forms reproduce the letter-by-letter basis action"
+    computed = report["computed"]
+    assert set(computed) == {"all_pass", "counterexample"} and not computed["all_pass"]
+    counterexample = computed["counterexample"]
+    assert set(counterexample) == {"case", "value"}
+    expr, monomial_json = counterexample["value"][:2]
+
+    # The rendered word reads back to the same monomial.
+    (v,) = parse_element(expr, S23).terms
+    assert v.to_json_dict() == monomial_json
+    word = word_of(expr)
+    members = S23.members_upto(report["parameters"]["window"])
+    assert any(v.apply(d) != corrupted(S23, word, d) for d in members)
+    assert all(v.apply(d) == real(S23, word, d) for d in members)
+
+
+def test_weakhopf_counterexample_replays(monkeypatch):
+    real = quantum.tensor_multiply
+
+    def corrupted(s, t):
+        product = real(s, t)
+        return product if len(product.terms) < 6 else type(product)(product.semigroup, {})
+
+    monkeypatch.setattr(quantum, "tensor_multiply", corrupted)
+    reports = checks.suite_weakhopf(S23, n_elements=40)
+    (report,) = failing(reports)
+    assert report["claim"] == "the coproduct is an algebra map"
+    counterexample = report["computed"]["counterexample"]
+    x, y = (free_element_of(S23, items) for items in counterexample["value"])
+    assert [x.to_json_list(), y.to_json_list()] == counterexample["value"]
+    assert coproduct(x * y) != corrupted(coproduct(x), coproduct(y))
+    assert coproduct(x * y) == real(coproduct(x), coproduct(y))
+
+
+def test_failing_check_exits_one_with_the_counterexample(monkeypatch, capsys):
+    corrupt_word_action(monkeypatch)
+    code, doc = run_cli(capsys, "check", "--gens", "2,3", "--suite", "inverse")
+    assert code == 1 and doc["pass"] is False
+    (report,) = failing(doc["reports"])
+    assert isinstance(report["computed"]["counterexample"]["case"], int)
+    assert len(word_of(report["computed"]["counterexample"]["value"][0])) >= 4
+
+
+def test_first_failure_stops_checking_but_drains_the_stream():
+    drawn, checked = [], []
+
+    def cases():
+        for i in range(10):
+            drawn.append(i)
+            yield i
+
+    def below_three(i):
+        checked.append(i)
+        return i < 3
+
+    (failure,) = checks._first_failures((cases(), below_three), (["x"], lambda c: True))
+    assert failure == {"case": 3, "value": 3}
+    assert checked == [0, 1, 2, 3] and drawn == list(range(10))
+    assert checks._first_failures(([5], bool), ([0], bool)) == [{"case": 1, "value": 0}]
+
+
+def test_order_suite_is_linear_in_the_window(monkeypatch):
+    s = NumericalSemigroup([99, 101])
+    calls = [0]
+    natural_below = NumericalSemigroup.natural_below
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return natural_below(self, a, b)
+
+    monkeypatch.setattr(NumericalSemigroup, "natural_below", counted)
+    reports = checks.suite_order(s)
+    assert all(r["pass"] for r in reports)
+    order = reports[1]
+    assert order["computed"] == {"reflexive": True, "antisymmetric": True, "transitive": True}
+    assert calls[0] <= 2 * order["parameters"]["window"]

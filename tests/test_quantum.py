@@ -196,9 +196,13 @@ def test_group_like_examples():
     assert group_like_detect(FreeElement.identity(S23)) == 0
 
 
-def test_group_like_survey_small():
-    found = group_like_survey(S23, 2, (ONE, GaussianRational(-1)), 2)
+def test_group_like_survey_small(group_like_invariants):
+    pool = (ONE, GaussianRational(-1))
+    found = group_like_survey(S23, 2, pool)
     assert found == {0, 2, 3, 4, 5, 6}
+    assert group_like_invariants(S23, 2, pool, max_terms=2)
+    # A zero coefficient is no monomial at all, so it detects nothing.
+    assert group_like_survey(S23, 2, (GaussianRational(0),)) == set()
 
 
 # -- coideal ---------------------------------------------------------------------------
