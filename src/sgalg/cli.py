@@ -5,7 +5,7 @@ to stderr.  Exit codes: 0 success / all checks pass, 1 a checked property
 failed (the JSON carries the witness), 2 usage or input error.  Passing
 suite reports are unchanged; a failing one's computed also holds
 "counterexample": {"case": i, "value": ...}, the first failing case, i counted
-from 0 in that claim's seeded case stream.
+from 0 in that claim's case stream, which the report's parameters fix.
 """
 
 from __future__ import annotations
