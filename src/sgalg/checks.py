@@ -42,8 +42,10 @@ def _render(case):
     """A case as JSON, for a counterexample.
 
     A word becomes an expression that `sg eval --expr` reads back to the same
-    monomial; an algebra object, its JSON form; a number stays a number, a
-    tuple becomes a list, and anything else becomes its string.
+    monomial, and a functional one that `sg convolve --functional` reads back
+    where the grammar can spell it; an algebra object, its JSON form; a number
+    stays a number, a tuple becomes a list, and anything else becomes its
+    string.
     """
     if isinstance(case, tuple) and case and all(
             type(letter) is tuple and len(letter) == 2 and type(letter[1]) is bool
@@ -56,7 +58,27 @@ def _render(case):
     for method in ("to_json_dict", "to_json_list"):
         if hasattr(case, method):
             return getattr(case, method)()
-    return str(case)
+    return _spell(case) or str(case)
+
+
+def _spell(xi) -> Optional[str]:
+    """A functional in the `--functional` grammar; None for shift pullbacks,
+    weighted point masses and anything that is not a functional."""
+    if isinstance(xi, fns.MatrixCoeff):
+        return f"w[{xi.a},{xi.b}]"
+    if isinstance(xi, fns.SymbolPointMass):
+        return f"pm({xi.turns})" if xi.weight == 1 else None
+    if isinstance(xi, fns.Convolution):
+        left, right = _spell(xi.left), _spell(xi.right)
+        return f"conv({left},{right})" if left and right else None
+    if isinstance(xi, fns.LinCombo):
+        terms = [(c, _spell(f)) for c, f in xi.terms]
+        if terms and all(f for _c, f in terms):
+            # A coefficient is spelled re+im i in full: the grammar has no bare i.
+            return "lin(" + " + ".join(
+                f"{c.re}{'-' if c.im < 0 else '+'}{abs(c.im)}i*{f}" if c.im else f"{c.re}*{f}"
+                for c, f in terms) + ")"
+    return None
 
 
 def _first_failures(*parts) -> list[Optional[dict]]:

@@ -11,6 +11,7 @@ from 0 in that claim's case stream, which the report's parameters fix.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,7 +27,7 @@ SCHEMA = "sgalg-report/1"
 # SVD at this size takes seconds on one core.
 MAX_DIM = 2048
 # Largest membership sieve, min*max of a generator list: the semigroup is
-# built by a Python loop over that many integers.
+# built by shifting an integer bitmask of that many bits.
 MAX_SIEVE = 1_000_000
 # Largest number of words `sg morphism` enumerates, the sum of (2k)^l over
 # lengths l up to --max-len for k minimal generators of the source.
@@ -216,7 +217,9 @@ def cmd_check(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `sg` parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="sg",
         description="exact semigroup operator calculus and verification suites")

@@ -359,10 +359,8 @@ class OperatorElement:
 
 def from_monomial(v: PartialTranslation) -> OperatorElement:
     """Indicator weight of the translation's domain, at its index."""
-    s = v.semigroup
-    w = weight_from_fn(s, lambda d: ONE if v.domain.contains(d) else ZERO,
-                       v.domain.threshold, ONE)
-    return OperatorElement(s, {v.index: w})
+    w = EventualWeight({d: ZERO for d in v.domain.excluded()}, ONE)
+    return OperatorElement(v.semigroup, {v.index: w})
 
 
 def toeplitz_lift(f: LaurentPolynomial, semigroup: NumericalSemigroup) -> OperatorElement:

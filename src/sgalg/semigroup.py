@@ -7,13 +7,27 @@ integers and its complement in them is finite.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd
+
+_BIT_FLAGS = str.maketrans("01", "\0\1")
+
+
+def bit_positions(mask: int) -> list[int]:
+    """Set bits of a non-negative integer, increasing, in one linear pass."""
+    flags = bin(mask)[:1:-1].translate(_BIT_FLAGS).encode()
+    return list(compress(range(len(flags)), flags))
 
 
 class NumericalSemigroup:
-    """Finitely generated, gcd-1 subsemigroup of the non-negative integers."""
+    """Finitely generated, gcd-1 subsemigroup of the non-negative integers.
 
-    __slots__ = ("generators", "gaps", "frobenius", "_gapset", "_small")
+    Bit n of ``gapmask`` is set exactly for the gaps n.  ``_letters`` keeps
+    the translations ``translations.elementary`` built over this semigroup.
+    """
+
+    __slots__ = ("generators", "gaps", "gapmask", "frobenius", "_gapset", "_small",
+                 "_letters")
 
     def __init__(self, generators):
         gens = sorted(set(int(g) for g in generators))
@@ -29,23 +43,29 @@ class NumericalSemigroup:
                              "the difference group would be a proper subgroup")
 
         # Sieve bound max*min dominates the Frobenius number of any gcd-1 set.
+        # Bit n of reach is set when n is a sum of generators: adding a, 2a,
+        # 4a, ... in turn adds every multiple of a up to the bound.  Only the
+        # minimal generating system is kept: in increasing order, a generator
+        # is redundant exactly when the smaller ones already reach it.
         bound = gens[-1] * gens[0]
-        reachable = [False] * (bound + 1)
-        reachable[0] = True
-        for n in range(1, bound + 1):
-            reachable[n] = any(n >= a and reachable[n - a] for a in gens)
-        gaps = tuple(n for n in range(1, bound + 1) if not reachable[n])
-        self.gaps = gaps
-        self.frobenius = gaps[-1] if gaps else -1
-        self._gapset = frozenset(gaps)
-        self._small = tuple(n for n in range(0, self.frobenius + 1)
-                            if n not in self._gapset)
-        # Keep only the minimal generating system: a generator is redundant
-        # exactly when it is a sum of two nonzero members.
-        def reducible(a: int) -> bool:
-            return any(self.contains(m) and self.contains(a - m)
-                       for m in range(1, a))
-        self.generators = tuple(a for a in gens if not reducible(a))
+        window = (1 << (bound + 1)) - 1
+        reach = 1
+        minimal = []
+        for a in gens:
+            if (reach >> a) & 1:
+                continue
+            minimal.append(a)
+            step = a
+            while step <= bound:
+                reach |= (reach << step) & window
+                step <<= 1
+        self.generators = tuple(minimal)
+        self.gapmask = window & ~reach
+        self.gaps = tuple(bit_positions(self.gapmask))
+        self.frobenius = self.gapmask.bit_length() - 1
+        self._gapset = frozenset(self.gaps)
+        self._small = tuple(bit_positions(reach & ((1 << (self.frobenius + 1)) - 1)))
+        self._letters = {}
 
     # -- membership and enumeration ---------------------------------------
 

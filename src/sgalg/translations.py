@@ -5,14 +5,17 @@ standard basis as ``e_d -> e_{d+c}`` on a domain that misses only finitely
 many members, or kills the vector.  The pair (index, canonical domain) is a
 faithful normal form: two words are the same operator exactly when these
 agree.
+
+A domain is stored as the bitmask of the members it leaves out, so every
+domain operation here is a few shifts, ORs and ANDs of integers against the
+semigroup's gap mask.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, bit_positions
 
 # A word letter is (generator, starred); a word is a sequence of letters in
 # operator order: the rightmost letter acts first.
@@ -20,66 +23,83 @@ Letter = tuple[int, bool]
 Word = tuple[Letter, ...]
 
 
+def _pullback(mask: int, t: int) -> int:
+    """Mask of the d >= 0 with bit d + t of mask set."""
+    return mask >> t if t >= 0 else mask << -t
+
+
+def _leaving(s: NumericalSemigroup, t: int) -> int:
+    """Mask of the members d with d + t outside the semigroup."""
+    out = _pullback(s.gapmask, t)
+    if t < 0:
+        out |= (1 << -t) - 1
+    return out & ~s.gapmask
+
+
 class EventualSet:
     """Subset of a numerical semigroup containing every member above a threshold.
 
-    Canonical form: the threshold is the least value that works, and
-    ``members_below`` lists exactly the members kept below it.  Because the
-    ambient semigroup is infinite, an eventual set is never empty.
+    Canonical form: ``mask`` has bit m set exactly for the members m left
+    out, so the threshold, the least value from which every member is kept,
+    is its bit length.  ``members_below`` lists the members kept below it.
+    Because the ambient semigroup is infinite, an eventual set is never empty.
     """
 
-    __slots__ = ("semigroup", "threshold", "members_below", "_key", "_hash")
+    __slots__ = ("semigroup", "mask", "_below")
 
     def __init__(self, semigroup: NumericalSemigroup, excluded: Iterable[int]):
-        excl = sorted(set(excluded))
-        for m in excl:
+        mask = 0
+        for m in sorted(set(excluded)):
             if not semigroup.contains(m):
                 raise ValueError(f"excluded value {m} is not a member")
-        self.semigroup = semigroup
-        self.threshold = excl[-1] + 1 if excl else 0
-        exclset = set(excl)
-        self.members_below = tuple(m for m in semigroup.members_upto(self.threshold - 1)
-                                   if m not in exclset)
-        self._key = (semigroup, self.threshold, self.members_below)
-        self._hash = hash(self._key)
+            mask |= 1 << m
+        self.semigroup, self.mask, self._below = semigroup, mask, None
+
+    @classmethod
+    def from_mask(cls, semigroup: NumericalSemigroup, mask: int) -> "EventualSet":
+        """The set leaving out the members in mask, which holds no gap."""
+        self = cls.__new__(cls)
+        self.semigroup, self.mask, self._below = semigroup, mask, None
+        return self
 
     @classmethod
     def full(cls, semigroup: NumericalSemigroup) -> "EventualSet":
-        return cls(semigroup, ())
+        return cls.from_mask(semigroup, 0)
+
+    @property
+    def threshold(self) -> int:
+        return self.mask.bit_length()
+
+    @property
+    def members_below(self) -> tuple[int, ...]:
+        if self._below is None:
+            kept = ((1 << self.threshold) - 1) & ~(self.semigroup.gapmask | self.mask)
+            self._below = tuple(bit_positions(kept))
+        return self._below
 
     def contains(self, d: int) -> bool:
-        if not self.semigroup.contains(d):
-            return False
-        if d >= self.threshold:
-            return True
-        i = bisect_left(self.members_below, d)
-        return i < len(self.members_below) and self.members_below[i] == d
-
-    def __contains__(self, d: int) -> bool:
-        return self.contains(d)
+        return self.semigroup.contains(d) and not ((self.mask >> d) & 1)
 
     def excluded(self) -> tuple[int, ...]:
         """Members of the semigroup missing from this set (always finite)."""
-        below = set(self.members_below)
-        return tuple(m for m in self.semigroup.members_upto(self.threshold - 1)
-                     if m not in below)
+        return tuple(bit_positions(self.mask))
 
     @property
     def is_full(self) -> bool:
-        return self.threshold == 0
+        return self.mask == 0
 
     def intersect(self, other: "EventualSet") -> "EventualSet":
         if self.semigroup != other.semigroup:
             raise ValueError("eventual sets over different semigroups")
-        return EventualSet(self.semigroup, set(self.excluded()) | set(other.excluded()))
+        return EventualSet.from_mask(self.semigroup, self.mask | other.mask)
 
     def __eq__(self, other):
         if not isinstance(other, EventualSet):
             return NotImplemented
-        return self._key == other._key
+        return self.mask == other.mask and self.semigroup == other.semigroup
 
     def __hash__(self):
-        return self._hash
+        return hash(self.mask)
 
     def __str__(self):
         inner = ",".join(str(m) for m in self.members_below)
@@ -96,21 +116,22 @@ class PartialTranslation:
     basis action e_d -> e_{d+index} (d in domain) lands on basis vectors.
     """
 
-    __slots__ = ("semigroup", "index", "domain", "_key", "_hash", "sort_key")
+    __slots__ = ("semigroup", "index", "domain")
 
     def __init__(self, semigroup: NumericalSemigroup, index: int, domain: EventualSet):
         if domain.semigroup != semigroup:
             raise ValueError("domain built over a different semigroup")
-        bound = max(domain.threshold, semigroup.frobenius - index + 1, 0)
-        for d in semigroup.members_upto(bound):
-            if domain.contains(d) and not semigroup.contains(d + index):
-                raise ValueError(f"image of {d} under shift {index} leaves the semigroup")
+        leaving = _leaving(semigroup, index) & ~domain.mask
+        if leaving:
+            d = (leaving & -leaving).bit_length() - 1
+            raise ValueError(f"image of {d} under shift {index} leaves the semigroup")
         self.semigroup = semigroup
         self.index = index
         self.domain = domain
-        self._key = (semigroup, index, domain)
-        self._hash = hash(self._key)
-        self.sort_key = (index, domain.threshold, domain.members_below)
+
+    @property
+    def sort_key(self):
+        return (self.index, self.domain.threshold, self.domain.members_below)
 
     def apply(self, d: int) -> Optional[int]:
         """Image of the basis point d, or None when the translation kills it."""
@@ -121,17 +142,19 @@ class PartialTranslation:
     def adjoint(self) -> "PartialTranslation":
         s = self.semigroup
         c = self.index
-        bound = max(self.domain.threshold + c, s.frobenius + c + 1, c, 0)
-        excluded = [d for d in s.members_upto(bound) if not self.domain.contains(d - c)]
-        return PartialTranslation(s, -c, EventualSet(s, excluded))
+        # The image of the domain: e is left out when e - c is not a member
+        # of the domain.
+        mask = (_leaving(s, -c) | _pullback(self.domain.mask, -c)) & ~s.gapmask
+        return PartialTranslation(s, -c, EventualSet.from_mask(s, mask))
 
     def __eq__(self, other):
         if not isinstance(other, PartialTranslation):
             return NotImplemented
-        return self._key == other._key
+        return (self.index == other.index and self.domain.mask == other.domain.mask
+                and self.semigroup == other.semigroup)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.index, self.domain.mask))
 
     def __str__(self):
         members = ",".join(str(m) for m in self.domain.members_below)
@@ -150,15 +173,19 @@ class PartialTranslation:
 
 
 def elementary(semigroup: NumericalSemigroup, a: int, starred: bool) -> PartialTranslation:
-    """The generating shift by a member a, or its adjoint when starred."""
-    if not semigroup.contains(a):
-        raise ValueError(f"{a} is not a member of {semigroup}")
-    if not starred:
-        return PartialTranslation(semigroup, a, EventualSet.full(semigroup))
-    bound = max(semigroup.frobenius + a + 1, a, 0)
-    excluded = [d for d in semigroup.members_upto(bound)
-                if not semigroup.contains(d - a)]
-    return PartialTranslation(semigroup, -a, EventualSet(semigroup, excluded))
+    """The generating shift by a member a, or its adjoint when starred.
+
+    Built once per semigroup object and letter, then kept on the semigroup.
+    """
+    v = semigroup._letters.get((a, starred))
+    if v is None:
+        if not semigroup.contains(a):
+            raise ValueError(f"{a} is not a member of {semigroup}")
+        c = -a if starred else a
+        v = PartialTranslation(semigroup, c,
+                               EventualSet.from_mask(semigroup, _leaving(semigroup, c)))
+        semigroup._letters[(a, starred)] = v
+    return v
 
 
 def compose(v: PartialTranslation, w: PartialTranslation) -> PartialTranslation:
@@ -166,12 +193,9 @@ def compose(v: PartialTranslation, w: PartialTranslation) -> PartialTranslation:
     if v.semigroup != w.semigroup:
         raise ValueError("cannot compose translations over different semigroups")
     s = v.semigroup
-    cv, cw = v.index, w.index
-    bound = max(w.domain.threshold, v.domain.threshold - cw,
-                s.frobenius + 1 - cw, 0)
-    excluded = [d for d in s.members_upto(bound)
-                if not (w.domain.contains(d) and v.domain.contains(d + cw))]
-    return PartialTranslation(s, cv + cw, EventualSet(s, excluded))
+    # d is left out when w leaves it out or v leaves out d + index(w).
+    mask = (w.domain.mask | _pullback(v.domain.mask, w.index)) & ~s.gapmask
+    return PartialTranslation(s, v.index + w.index, EventualSet.from_mask(s, mask))
 
 
 def max_translation(semigroup: NumericalSemigroup, c: int) -> PartialTranslation:
@@ -179,10 +203,8 @@ def max_translation(semigroup: NumericalSemigroup, c: int) -> PartialTranslation
 
     Equals T_a* T_b for any members with b - a = c.
     """
-    s = semigroup
-    bound = max(s.frobenius + abs(c) + 1, 0)
-    excluded = [d for d in s.members_upto(bound) if not s.contains(d + c)]
-    return PartialTranslation(s, c, EventualSet(s, excluded))
+    return PartialTranslation(semigroup, c,
+                              EventualSet.from_mask(semigroup, _leaving(semigroup, c)))
 
 
 def evaluate_word(semigroup: NumericalSemigroup, word: Sequence[Letter]) -> PartialTranslation:
@@ -234,9 +256,7 @@ def word_offsets(semigroup: NumericalSemigroup, word: Sequence[Letter]) -> list[
 def pt_from_offsets(semigroup: NumericalSemigroup, index: int,
                     offsets: Iterable[int]) -> PartialTranslation:
     """Translation with domain cut out by membership constraints d + t."""
-    s = semigroup
-    offs = sorted(set(offsets))
-    bound = max((s.frobenius + abs(t) + 1 for t in offs), default=0)
-    excluded = [d for d in s.members_upto(bound)
-                if any(not s.contains(d + t) for t in offs)]
-    return PartialTranslation(s, index, EventualSet(s, excluded))
+    mask = 0
+    for t in set(offsets):
+        mask |= _leaving(semigroup, t)
+    return PartialTranslation(semigroup, index, EventualSet.from_mask(semigroup, mask))

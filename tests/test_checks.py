@@ -6,7 +6,8 @@ import re
 from fractions import Fraction
 
 from sgalg import checks, cli, quantum
-from sgalg.exprparse import parse_element
+from sgalg import functionals as fns
+from sgalg.exprparse import parse_element, parse_functional
 from sgalg.quantum import FreeElement, coproduct
 from sgalg.scalars import GaussianRational
 from sgalg.semigroup import NumericalSemigroup
@@ -147,3 +148,32 @@ def test_order_suite_is_linear_in_the_window(monkeypatch):
     order = reports[1]
     assert order["computed"] == {"reflexive": True, "antisymmetric": True, "transitive": True}
     assert calls[0] <= 2 * order["parameters"]["window"]
+
+
+def test_functional_counterexamples_replay_through_the_cli_grammar(monkeypatch):
+    # Every functional the haar suite evaluates renders to --functional syntax
+    # that parses back to an equal functional; only shift pullbacks, which the
+    # grammar cannot spell, fall back to their string.
+    seen = []
+    real = fns.evaluate
+
+    def recording(xi, x):
+        seen.append(xi)
+        return real(xi, x)
+
+    monkeypatch.setattr(fns, "evaluate", recording)
+    assert all(r["pass"] for r in checks.suite_haar(S23, seed=0))
+    kinds = set()
+    for xi in seen:
+        text = checks._render(xi)
+        if "ShiftPullback" in repr(xi):
+            assert text == str(xi)
+            continue
+        assert parse_functional(text, S23) == xi, text
+        kinds.add(type(xi).__name__)
+    assert kinds == {"MatrixCoeff", "SymbolPointMass", "LinCombo", "Convolution"}
+    lin = fns.lin_combo([(GaussianRational(0, 1), fns.MatrixCoeff(0, 2)),
+                         (GaussianRational(Fraction(-1, 2), -1), fns.haar())])
+    assert checks._render(lin) == "lin(0+1i*w[0,2] + -1/2-1i*w[0,0])"
+    assert parse_functional(checks._render(lin), S23) == lin
+    assert checks._render(fns.point_mass(Fraction(1, 3), 2)).startswith("SymbolPointMass(")

@@ -166,6 +166,38 @@ def test_check_suite_exit_code(capsys):
     assert doc["pass"] and all(r["pass"] for r in doc["reports"])
 
 
+def test_inverse_suite_at_frobenius_1079(capsys):
+    code, out = run_cli(capsys, "check", "--gens", "31,37", "--suite", "inverse")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] and all(r["pass"] for r in doc["reports"])
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # One process answering several commands, usage errors among them, gives
+    # the replies of a freshly built parser for each.
+    requests = [
+        ("convolve", "--gens", "2,3", "--functional", "haar", "--functional", "pm(1/3)",
+         "--expr", "T(2) + 2*T*(3)"),
+        ("convolve", "--gens", "2,3", "--functional", "w[2,0]", "--functional", "w[2,0]",
+         "--expr", "T(2) + 2*T*(3)"),
+        ("convolve", "--gens", "2,3", "--functional", "haar", "--expr", "T(2)"),
+        ("eval", "--gens", "2,3"),
+        ("info", "--gens", "3,5"),
+        ("convolve", "--gens", "2,3", "--functional", "pm(1/2)", "--functional", "haar",
+         "--expr", "T*(3)"),
+    ]
+    reused = [run_cli(capsys, *argv) for argv in requests]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in requests:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _out in reused] == [0, 0, 2, 2, 0, 0]
+    assert json.loads(reused[0][1])["value"] != json.loads(reused[1][1])["value"]
+
+
 def test_usage_errors(capsys):
     code, out = run_cli(capsys, "info", "--gens", "2,4")
     assert code == 2

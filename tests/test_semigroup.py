@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgalg.semigroup import (NumericalSemigroup, automorphism_multipliers,
-                             morphism_multipliers)
+                             bit_positions, morphism_multipliers)
 
 
 def sieve_members(gens, bound):
@@ -28,6 +28,32 @@ def test_build_examples():
     assert s35.gaps == (1, 2, 4, 7) and s35.frobenius == 7
     oracle = sieve_members([3, 5], 15)
     assert set(s35.gaps) == {n for n in range(1, 16) if n not in oracle}
+
+
+@pytest.mark.parametrize("gens", [(11, 13), (31, 37), (3, 5, 7), (6, 10, 15)])
+def test_shift_sieve_matches_oracle(gens):
+    s = NumericalSemigroup(gens)
+    bound = max(gens) * min(gens)
+    oracle = sieve_members(gens, bound)
+    assert s.gaps == tuple(n for n in range(bound + 1) if n not in oracle)
+    assert s.gapmask == sum(1 << n for n in s.gaps)
+    assert s.members_upto(s.frobenius) == sorted(n for n in oracle if n <= s.frobenius)
+
+
+def test_shift_sieve_at_the_generator_limit():
+    # Sylvester: S(a, b) has (a-1)(b-1)/2 gaps, the largest ab - a - b
+    a, b = 999, 1001
+    s = NumericalSemigroup([a, b])
+    assert s.frobenius == a * b - a - b
+    assert len(s.gaps) == (a - 1) * (b - 1) // 2
+    assert s.gapmask.bit_length() == s.frobenius + 1
+    assert not s.contains(s.frobenius) and s.contains(s.frobenius + 1)
+    assert s.contains(a * b) and not s.contains(a * b - a - 2 * b)
+
+
+@given(st.integers(0, 2 ** 300))
+def test_bit_positions(mask):
+    assert bit_positions(mask) == [n for n in range(mask.bit_length()) if (mask >> n) & 1]
 
 
 def test_build_rejections():

@@ -12,6 +12,9 @@ S23 = NumericalSemigroup([2, 3])
 S35 = NumericalSemigroup([3, 5])
 Z = NumericalSemigroup([1])
 SEMIGROUPS = (Z, S23, S35)
+# The Frobenius-number ladder above F = 7: F = 11, 119 and 1079.
+LADDER = (NumericalSemigroup([3, 7]), NumericalSemigroup([11, 13]),
+          NumericalSemigroup([31, 37]))
 
 
 def word_strategy(s, max_len=8):
@@ -39,6 +42,10 @@ def test_eventual_set_canonical_threshold():
 def test_eventual_set_rejects_non_members():
     with pytest.raises(ValueError):
         EventualSet(S23, [1])
+    s = LADDER[-1]
+    for bad in (-1, 1, s.frobenius, s.gaps[len(s.gaps) // 2]):
+        with pytest.raises(ValueError, match=f"excluded value {bad} is not a member"):
+            EventualSet(s, [0, 31, bad, s.frobenius + 1])
 
 
 @given(st.sets(st.integers(0, 12)))
@@ -62,6 +69,19 @@ def test_eventual_set_contains_matches_excluded():
             excluded = set(e.excluded())
             for d in range(-3, e.threshold + 6):
                 assert e.contains(d) == (s.contains(d) and d not in excluded)
+
+
+def test_domain_mapped_onto_a_gap_is_rejected():
+    with pytest.raises(ValueError, match="image of 0 under shift 1"):
+        PartialTranslation(S23, 1, EventualSet.full(S23))
+    for s in LADDER:
+        for c in (1, -1, -max(s.generators), s.frobenius):
+            leaving = max_translation(s, c).domain.excluded()
+            for d in (leaving[0], leaving[len(leaving) // 2], leaving[-1]):
+                # put one member back whose image is a gap or negative
+                domain = EventualSet(s, set(leaving) - {d})
+                with pytest.raises(ValueError, match=f"image of {d} under shift {c} "):
+                    PartialTranslation(s, c, domain)
 
 
 # -- elementary translations ---------------------------------------------------
@@ -170,7 +190,7 @@ def test_evaluate_word_examples():
 
 
 @settings(max_examples=150)
-@given(st.sampled_from(SEMIGROUPS), st.data())
+@given(st.sampled_from(SEMIGROUPS + LADDER), st.data())
 def test_word_action_oracle(s, data):
     word = data.draw(word_strategy(s))
     v = evaluate_word(s, word)
@@ -179,7 +199,7 @@ def test_word_action_oracle(s, data):
 
 
 @settings(max_examples=150)
-@given(st.sampled_from(SEMIGROUPS), st.data())
+@given(st.sampled_from(SEMIGROUPS + LADDER), st.data())
 def test_inverse_semigroup_axioms(s, data):
     v = evaluate_word(s, data.draw(word_strategy(s)))
     vs = v.adjoint()
@@ -252,7 +272,7 @@ def test_offsets_route_matches_composition():
     # the multiplier and evaluated over the target, which must agree with the
     # target translation cut out by the scaled offsets of w (the falsifier's
     # image route).  Multiplier 1 onto the source itself is the plain route.
-    routes = [(s, s, 1) for s in SEMIGROUPS]
+    routes = [(s, s, 1) for s in SEMIGROUPS + LADDER]
     for s1, s2 in ((S23, Z), (S35, Z), (Z, S23)):
         routes.extend((s1, s2, m) for m in morphism_multipliers(s1, s2, 6))
     rng = random.Random(5)
