@@ -398,15 +398,15 @@ def suite_weakhopf(s: NumericalSemigroup, seed: int = 0, n_elements: int = 500) 
 
 
 def suite_coideal(s: NumericalSemigroup, max_total_len: int = 4) -> list[dict]:
-    # Each distinct pair of monomials once, with the first two words reaching it.
-    letters = quantum.letters_of(s)
-    distinct: dict = {}
-    for l1 in range(1, max_total_len):
-        for l2 in range(1, max_total_len - l1 + 1):
-            for w1 in product(letters, repeat=l1):
-                v = evaluate_word(s, w1)
-                for w2 in product(letters, repeat=l2):
-                    distinct.setdefault((v, evaluate_word(s, w2)), (w1, w2))
+    # Each distinct pair of monomials once, with the first words reaching it;
+    # a pair is reached when the first words' lengths sum to at most the bound.
+    by_len: dict[int, list] = {}
+    for v, word in distinct_monomials(s, max_total_len - 1).items():
+        by_len.setdefault(len(word), []).append((v, word))
+    distinct = {(v, w): (w1, w2)
+                for l1 in range(1, max_total_len)
+                for l2 in range(1, max_total_len - l1 + 1)
+                for v, w1 in by_len.get(l1, ()) for w, w2 in by_len.get(l2, ())}
     (failure,) = _first_failures(
         (distinct.items(), lambda vw, _words: quantum.coideal_decomposition(*vw)[2]))
     return [_verdict("commutator coproducts split into the two ideal-sided summands",

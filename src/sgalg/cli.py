@@ -29,8 +29,8 @@ MAX_DIM = 2048
 # Largest membership sieve, min*max of a generator list: the semigroup is
 # built by shifting an integer bitmask of that many bits.
 MAX_SIEVE = 1_000_000
-# Largest number of words `sg morphism` enumerates, the sum of (2k)^l over
-# lengths l up to --max-len for k minimal generators of the source.
+# Largest word count, the sum of (2k)^l over lengths l up to --max-len for k
+# minimal generators of the source, that bounds an `sg morphism` search.
 MAX_WORDS = 100_000
 # Largest `sg eval --basis` and `sg coproduct --pairs` tables.
 MAX_BASIS = 4096

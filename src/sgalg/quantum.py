@@ -9,14 +9,15 @@ forgetful map down to operators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .scalars import Combination, GaussianRational, ONE, ZERO
 from .semigroup import NumericalSemigroup, morphism_multipliers
 from .operators import LaurentPolynomial, OperatorElement, from_monomial
-from .translations import (PartialTranslation, Word, compose, elementary,
+from .translations import (Letter, PartialTranslation, Word, compose, elementary,
                            evaluate_word)
 
 
@@ -275,7 +276,7 @@ def corner_diagram_check(x: FreeElement, a: int, window: int) -> CornerResult:
     return CornerResult(True, None)
 
 
-# -- word enumeration and the morphism falsifier ------------------------------------
+# -- short-word search and the morphism falsifier ---------------------------------
 
 
 def letters_of(semigroup: NumericalSemigroup) -> list[tuple[int, bool]]:
@@ -286,20 +287,43 @@ def letters_of(semigroup: NumericalSemigroup) -> list[tuple[int, bool]]:
 
 def enumerate_words(semigroup: NumericalSemigroup, max_len: int
                     ) -> Iterator[tuple[Word, PartialTranslation]]:
-    """All non-empty words up to max_len, in deterministic order."""
+    """All non-empty words up to max_len, one by one: first_words' brute-force reference."""
     letters = letters_of(semigroup)
     for length in range(1, max_len + 1):
         for combo in itertools.product(letters, repeat=length):
             yield combo, evaluate_word(semigroup, combo)
 
 
+def first_words(start: Hashable, steps: Sequence[tuple[Letter, Callable]],
+                max_len: int) -> dict:
+    """Each value that non-empty words of at most max_len letters reach from start,
+    mapped to its first word: shortest first, then in letter order.
+
+    steps pairs each letter with the map that puts it in front of a value.  A
+    word's value depends only on its first letter and the value of the rest,
+    so the search is breadth-first, one node per value; start is a key only
+    when a non-empty word reaches it.
+    """
+    out: dict = {}
+    frontier = [(start, ())]
+    for _ in range(max_len):
+        fresh = []
+        for letter, step in steps:
+            for rest, rest_word in frontier:
+                value = step(rest)
+                if value not in out:
+                    out[value] = word = (letter,) + rest_word
+                    fresh.append((value, word))
+        frontier = fresh
+    return out
+
+
 def distinct_monomials(semigroup: NumericalSemigroup, max_len: int
                        ) -> dict[PartialTranslation, Word]:
-    """Canonical monomials reachable by short words, with first-found words."""
-    out: dict[PartialTranslation, Word] = {}
-    for word, pt in enumerate_words(semigroup, max_len):
-        out.setdefault(pt, word)
-    return out
+    """Canonical monomials reachable by short words, with their first words."""
+    steps = [(l, functools.partial(compose, elementary(semigroup, *l)))
+             for l in letters_of(semigroup)]
+    return first_words(elementary(semigroup, 0, False), steps, max_len)
 
 
 def _operator_coordinates(elements: Sequence[OperatorElement]) -> list[dict]:
@@ -399,38 +423,12 @@ class MorphismWitness:
                 "left": side(self.left), "right": side(self.right)}
 
 
-@dataclass
-class _FalsifierContext:
-    """Word enumeration data reused across multipliers for one source."""
-    # per source monomial: list of (offset frozenset, representative word)
-    classes: dict[PartialTranslation, list[tuple[frozenset, Word]]]
-    pts: list[PartialTranslation]
-    kernel: list[list[GaussianRational]]
-
-
-# Only the most recent context is kept: a multiplier scan reuses one key, and
-# a context for a long word length is large.
-_falsifier_cache: dict[tuple, _FalsifierContext] = {}
-
-
-def _falsifier_context(s1: NumericalSemigroup, max_word_len: int) -> _FalsifierContext:
-    key = (s1, max_word_len)
-    ctx = _falsifier_cache.get(key)
-    if ctx is not None:
-        return ctx
-    _falsifier_cache.clear()
-    from .translations import word_offsets
-
-    classes: dict[PartialTranslation, dict[frozenset, Word]] = {}
-    for word, pt in enumerate_words(s1, max_word_len):
-        offs = frozenset(word_offsets(s1, word))
-        classes.setdefault(pt, {}).setdefault(offs, word)
-
-    pts = sorted(classes, key=_pt_sort_key)
-    ctx = _FalsifierContext({v: sorted(d.items()) for v, d in classes.items()},
-                            pts, monomial_kernel(pts))
-    _falsifier_cache[key] = ctx
-    return ctx
+@functools.lru_cache(maxsize=1)
+def _falsifier_context(s1: NumericalSemigroup, max_word_len: int):
+    """Sorted source monomials, their first words and kernel; a scan reuses one."""
+    words = distinct_monomials(s1, max_word_len)
+    pts = sorted(words, key=_pt_sort_key)
+    return pts, words, monomial_kernel(pts)
 
 
 def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
@@ -441,42 +439,37 @@ def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
     operators must have equal images (semigroup level), and every rational
     dependence among source monomials must map to a dependence among the
     images (linear level).  Absence of a witness means "consistent up to this
-    length", not that a morphism exists.
+    length", not that a morphism exists.  Witnesses are spelled with first
+    words (see first_words).
     """
     if m < 0 or m not in morphism_multipliers(s1, s2, m):
         raise ValueError(f"{m} is not a morphism multiplier here")
-    from .translations import pt_from_offsets
+    pts, words, kernel = _falsifier_context(s1, max_word_len)
 
-    ctx = _falsifier_context(s1, max_word_len)
+    # Semigroup level: search the (source, image) pairs that words reach; a
+    # source monomial with two images is a witness.
+    def step(v, w):
+        return lambda pair: (compose(v, pair[0]), compose(w, pair[1]))
 
-    def image_by_offsets(pt: PartialTranslation, offs: frozenset) -> PartialTranslation:
-        return pt_from_offsets(s2, m * pt.index, (m * t for t in offs))
-
-    # Semigroup level: every word route to the same source monomial must give
-    # the same image.  Images depend on the word only through its offset set,
-    # so the distinct offset classes per monomial are compared.
+    steps = [((a, st), step(elementary(s1, a, st), elementary(s2, m * a, st)))
+             for a, st in letters_of(s1)]
+    start = (elementary(s1, 0, False), elementary(s2, 0, False))
     image_for: dict[PartialTranslation, PartialTranslation] = {}
-    for v in ctx.pts:
-        entries = ctx.classes[v]
-        img0 = image_by_offsets(v, entries[0][0])
-        image_for[v] = img0
-        for offs, word in entries[1:]:
-            img = image_by_offsets(v, offs)
-            if img != img0:
-                return MorphismWitness("word", [(ONE, entries[0][1])],
-                                       [(ONE, word)], m)
+    for (v, img), word in first_words(start, steps, max_word_len).items():
+        if image_for.setdefault(v, img) != img:
+            return MorphismWitness("word", [(ONE, words[v])], [(ONE, word)], m)
 
     # Linear level: dependences among the source monomials must stay
     # dependences among the images.
-    for kappa in ctx.kernel:
+    for kappa in kernel:
         image = OperatorElement.zero(s2)
-        for coeff, v in zip(kappa, ctx.pts):
+        for coeff, v in zip(kappa, pts):
             if not coeff.is_zero:
                 image = image + from_monomial(image_for[v]).scale(coeff)
         if not image.is_zero:
-            left = [(c, ctx.classes[v][0][1]) for c, v in zip(kappa, ctx.pts)
+            left = [(c, words[v]) for c, v in zip(kappa, pts)
                     if not c.is_zero and (c.im != 0 or c.re > 0)]
-            right = [(-c, ctx.classes[v][0][1]) for c, v in zip(kappa, ctx.pts)
+            right = [(-c, words[v]) for c, v in zip(kappa, pts)
                      if not c.is_zero and c.im == 0 and c.re < 0]
             return MorphismWitness("combination", left, right, m)
     return None

@@ -1,9 +1,12 @@
 """The verification suites' reports: fixed keys when passing, a replayable
 first counterexample when failing."""
 
+import itertools
 import json
 import re
 from fractions import Fraction
+
+import pytest
 
 from sgalg import checks, cli, quantum
 from sgalg import functionals as fns
@@ -11,7 +14,7 @@ from sgalg.exprparse import parse_element, parse_functional
 from sgalg.quantum import FreeElement, coproduct
 from sgalg.scalars import GaussianRational
 from sgalg.semigroup import NumericalSemigroup
-from sgalg.translations import EventualSet, PartialTranslation
+from sgalg.translations import EventualSet, PartialTranslation, evaluate_word
 
 S23 = NumericalSemigroup([2, 3])
 REPORT_KEYS = {"claim", "parameters", "computed", "expected", "tolerance", "pass"}
@@ -177,3 +180,37 @@ def test_functional_counterexamples_replay_through_the_cli_grammar(monkeypatch):
     assert checks._render(lin) == "lin(0+1i*w[0,2] + -1/2-1i*w[0,0])"
     assert parse_functional(checks._render(lin), S23) == lin
     assert checks._render(fns.point_mass(Fraction(1, 3), 2)).startswith("SymbolPointMass(")
+
+
+def nested_loop_pairs(s, max_total_len):
+    """Monomial pairs of words with lengths summing to at most max_total_len,
+    each with the first two words reaching it, evaluating every word one by one."""
+    letters = quantum.letters_of(s)
+    pairs: dict = {}
+    for l1 in range(1, max_total_len):
+        for l2 in range(1, max_total_len - l1 + 1):
+            for w1 in itertools.product(letters, repeat=l1):
+                v = evaluate_word(s, w1)
+                for w2 in itertools.product(letters, repeat=l2):
+                    pairs.setdefault((v, evaluate_word(s, w2)), (w1, w2))
+    return list(pairs.items())
+
+
+@pytest.mark.parametrize("gens,count", [([2, 3], None), ([1], None), ([3, 4, 5], 1620)])
+def test_coideal_checks_the_nested_loop_pairs_in_order(monkeypatch, gens, count):
+    s = NumericalSemigroup(gens)
+    expected = nested_loop_pairs(s, 4)
+    checked = []
+
+    def record(v, w):
+        # fails on the last pair only, so the counterexample shows its words
+        checked.append((v, w))
+        return None, None, len(checked) < len(expected)
+
+    monkeypatch.setattr(quantum, "coideal_decomposition", record)
+    (report,) = checks.suite_coideal(s)
+    assert checked == [pair for pair, _words in expected]
+    assert report["computed"]["pairs_checked"] == len(expected)
+    assert report["computed"]["counterexample"] == {
+        "case": len(expected) - 1, "value": checks._render(expected[-1])}
+    assert count is None or len(expected) == count

@@ -148,6 +148,15 @@ def test_morphism_exit_codes(capsys):
     assert not json.loads(out)["witness_found"]
 
 
+def test_morphism_word_witness(capsys):
+    code, out = run_cli(capsys, "morphism", "--from", "3,4,5", "--to", "2,3",
+                        "--mult", "1", "--max-len", "3")
+    assert code == 1
+    witness = json.loads(out)["results"][0]["witness"]
+    assert witness["kind"] == "word"
+    assert witness["left"] == [["1", [[3, False], [3, True], [5, False]]]]
+
+
 def test_morphism_scan_all_multipliers(capsys):
     code, out = run_cli(capsys, "morphism", "--from", "2,3", "--to", "1",
                         "--max-len", "6")

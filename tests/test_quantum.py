@@ -10,7 +10,8 @@ from sgalg import quantum
 from sgalg.quantum import (FreeElement, FreeTensor, coaction_fixed,
                            coideal_decomposition, coproduct, corner_diagram_check,
                            delta_coaction, descent_witness, distinct_monomials,
-                           exact_nullspace, group_like_detect, group_like_survey,
+                           enumerate_words, exact_nullspace, group_like_detect,
+                           group_like_survey,
                            quantum_morphism_falsify, rep, tensor_adjoint,
                            tensor_multiply, tensor_of, weak_antipode,
                            weak_hopf_check)
@@ -292,6 +293,19 @@ def test_nullspace_unit():
     assert vec[0] * 1 + vec[1] == ZERO and vec[2] == ZERO
 
 
+# -- short-word search ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gens,max_len", [([1], 11), ([2, 3], 7), ([3, 5], 6),
+                                          ([3, 7], 5), ([3, 4, 5], 5), ([11, 13], 4)])
+def test_search_matches_brute_force_enumeration(gens, max_len):
+    s = NumericalSemigroup(gens)
+    first: dict = {}
+    for word, v in enumerate_words(s, max_len):
+        first.setdefault(v, word)
+    assert list(distinct_monomials(s, max_len).items()) == list(first.items())
+
+
 # -- morphism falsifier ------------------------------------------------------------------
 
 
@@ -322,7 +336,22 @@ def test_falsifier_keeps_one_context():
     S35 = NumericalSemigroup([3, 5])
     for source, length in ((S23, 3), (S35, 3), (Z, 4)):
         quantum_morphism_falsify(source, Z, 1, length)
-    assert len(quantum._falsifier_cache) <= 1
+    assert quantum._falsifier_context.cache_info().currsize <= 1
+
+
+def test_falsifier_word_witness_from_three_generators():
+    # T(3)T*(3)T(5) = T(4)T*(3)T(4) over S(3,4,5): both keep d exactly when
+    # d >= 3.  Over S(2,3) the first keeps 0 and the second does not.
+    s345 = NumericalSemigroup([3, 4, 5])
+    w = quantum_morphism_falsify(s345, S23, 1, 3)
+    assert w.kind == "word"
+    ((c1, left),), ((c2, right),) = w.left, w.right
+    assert c1 == c2 == ONE and left != right
+    source = evaluate_word(s345, left)
+    assert source == evaluate_word(s345, right)
+    assert distinct_monomials(s345, 3)[source] == left
+    # m = 1 leaves the letters as they are
+    assert evaluate_word(S23, left) != evaluate_word(S23, right)
 
 
 def test_falsifier_trivial_multiplier_consistent():
