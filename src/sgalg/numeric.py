@@ -107,7 +107,7 @@ def gauge_twist(a: OperatorElement, theta: float) -> OperatorElement:
     for c, w in a.components.items():
         z = cmath.exp(1j * c * theta)
         out[c] = EventualWeight({d: z * v for d, v in w.exceptions.items()}, z * w.tail)
-    return OperatorElement(a.semigroup, out)
+    return OperatorElement._closed(a.semigroup, out)
 
 
 def fourier_project(a: OperatorElement, target_index: int, samples: int) -> OperatorElement:

@@ -24,14 +24,19 @@ class EventualWeight:
     """Weight function on the semigroup, constant above a minimal threshold.
 
     Stored as the constant tail value plus the finitely many members where
-    the value differs from it.
+    the value differs from it.  A weight with a complex value is all complex.
     """
 
     __slots__ = ("exceptions", "tail", "_key")
 
     def __init__(self, exceptions: dict, tail):
+        if isinstance(tail, complex) or any(isinstance(v, complex)
+                                            for v in exceptions.values()):
+            tail = complex(tail)
+            exceptions = {d: complex(v) for d, v in exceptions.items()}
         tail = as_scalar(tail)
-        cleaned = {d: as_scalar(v) for d, v in exceptions.items() if v != tail}
+        cleaned = {d: v if type(v) is GaussianRational else as_scalar(v)
+                   for d, v in exceptions.items() if v != tail}
         self.exceptions = cleaned
         self.tail = tail
         self._key = (tuple(sorted(cleaned.items())), tail)
@@ -133,6 +138,17 @@ class OperatorElement:
                     raise ValueError(
                         f"component {c} has weight {w.value(d)} at {d}, "
                         f"but {d}+{c} is outside the semigroup")
+        self._fill(semigroup, comps)
+
+    @classmethod
+    def _closed(cls, semigroup: NumericalSemigroup,
+                components: dict[int, EventualWeight]) -> "OperatorElement":
+        """Element of weights known to meet the support condition, not rescanned."""
+        out = cls.__new__(cls)
+        out._fill(semigroup, {c: w for c, w in components.items() if not w.is_zero})
+        return out
+
+    def _fill(self, semigroup: NumericalSemigroup, comps: dict[int, EventualWeight]):
         self.semigroup = semigroup
         self.components = comps
         self._key = (semigroup, tuple(sorted((c, w._key) for c, w in comps.items())))
@@ -145,7 +161,7 @@ class OperatorElement:
 
     @classmethod
     def identity(cls, semigroup: NumericalSemigroup) -> "OperatorElement":
-        return cls(semigroup, {0: EventualWeight({}, ONE)})
+        return cls._closed(semigroup, {0: EventualWeight({}, ONE)})
 
     # -- basic structure ----------------------------------------------------
 
@@ -180,7 +196,7 @@ class OperatorElement:
             bound = max(wa.threshold, wb.threshold)
             out[c] = weight_from_fn(s, lambda d: wa.value(d) + wb.value(d),
                                     bound, wa.tail + wb.tail)
-        return OperatorElement(s, out)
+        return OperatorElement._closed(s, out)
 
     def __sub__(self, other):
         if not isinstance(other, OperatorElement):
@@ -197,7 +213,7 @@ class OperatorElement:
         out = {c: EventualWeight({d: scalar * v for d, v in w.exceptions.items()},
                                  scalar * w.tail)
                for c, w in self.components.items()}
-        return OperatorElement(self.semigroup, out)
+        return OperatorElement._closed(self.semigroup, out)
 
     def __mul__(self, other):
         if isinstance(other, OperatorElement):
@@ -235,7 +251,7 @@ class OperatorElement:
                         for w1, c2, w2 in plist)
             tail = sum(w1.tail * w2.tail for w1, _c2, w2 in plist)
             out[c] = weight_from_fn(s, fn, bound, tail)
-        return OperatorElement(s, out)
+        return OperatorElement._closed(s, out)
 
     def adjoint(self) -> "OperatorElement":
         s = self.semigroup
@@ -245,7 +261,7 @@ class OperatorElement:
             out[-c] = weight_from_fn(
                 s, lambda d, w=w, c=c: _value_ext(s, w, d - c).conjugate(),
                 bound, w.tail.conjugate())
-        return OperatorElement(s, out)
+        return OperatorElement._closed(s, out)
 
     # -- basis action ---------------------------------------------------------
 
@@ -265,7 +281,7 @@ class OperatorElement:
     def grade(self, c: int) -> "OperatorElement":
         """The single index-c graded component (zero element when absent)."""
         if c in self.components:
-            return OperatorElement(self.semigroup, {c: self.components[c]})
+            return OperatorElement._closed(self.semigroup, {c: self.components[c]})
         return OperatorElement.zero(self.semigroup)
 
     def expectation(self) -> "OperatorElement":
@@ -293,7 +309,7 @@ class OperatorElement:
                 return w.value(d + e)
             out[c] = weight_from_fn(s, fn, bound, w.tail)
         # Accumulate: distinct indices stay distinct, so plain dict is fine.
-        return OperatorElement(s, out)
+        return OperatorElement._closed(s, out)
 
     def symbol(self) -> LaurentPolynomial:
         """Image in the commutative quotient: one coefficient per tail value."""
@@ -360,7 +376,7 @@ class OperatorElement:
 def from_monomial(v: PartialTranslation) -> OperatorElement:
     """Indicator weight of the translation's domain, at its index."""
     w = EventualWeight({d: ZERO for d in v.domain.excluded()}, ONE)
-    return OperatorElement(v.semigroup, {v.index: w})
+    return OperatorElement._closed(v.semigroup, {v.index: w})
 
 
 def toeplitz_lift(f: LaurentPolynomial, semigroup: NumericalSemigroup) -> OperatorElement:

@@ -391,7 +391,7 @@ def exact_nullspace(columns: Sequence[dict]) -> list[list[GaussianRational]]:
         for i in range(len(rows)):
             if i != r and not rows[i][col].is_zero:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
         if r == len(rows):

@@ -1,5 +1,9 @@
 """Exact scalars: complex numbers with rational real and imaginary parts.
 
+A ``GaussianRational`` is stored as three integers ``(a, b, d)``, meaning
+``(a + b*i)/d``, with ``d > 0`` and ``gcd(a, b, d) == 1``, so arithmetic is
+integer arithmetic with one gcd per result (none when ``d == 1``).
+
 A weight or a functional value is either such an exact scalar or a Python
 ``complex``.  Combining the two by ``+ - * /``, in either order, gives the
 float result of the same operation on ``complex(exact)``; the two kinds
@@ -11,14 +15,18 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+def _gr(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d in lowest terms; d must be positive."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    out = object.__new__(GaussianRational)
+    out._a, out._b, out._d = a, b, d
+    return out
 
 
 def _exact(x):
@@ -26,23 +34,28 @@ def _exact(x):
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+        return _gr(x.numerator, 0, x.denominator)
     return None
 
 
 class GaussianRational:
-    """Immutable ``re + im*i`` with exact Fraction parts.
+    """Immutable ``(a + b*i)/d`` with integer a, b and d, in lowest terms.
 
-    Supports field arithmetic, conjugation and coercion from int/Fraction.
-    Values are hashable and compare exactly; equality with plain ints and
-    Fractions is allowed (hash stays consistent for real values).
+    Supports field arithmetic, conjugation and coercion from int/Fraction;
+    ``re`` and ``im`` are the parts as Fractions.  Values compare exactly,
+    equal ints and Fractions included, and hash as those do.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        q, s = re.denominator, im.denominator
+        d = q * s // gcd(q, s)
+        # Lowest terms: d takes each prime's full power from q or s, coprime to its numerator.
+        self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
 
     @classmethod
     def coerce(cls, x) -> "GaussianRational":
@@ -51,17 +64,26 @@ class GaussianRational:
             raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
         return o
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         o = _exact(other)
         if o is None:
             return complex(self) + other if isinstance(other, complex) else NotImplemented
-        if not self.re and not self.im:
+        if not self._a and not self._b:
             return o
-        if not o.re and not o.im:
+        if not o._a and not o._b:
             return self
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d1, d2 = self._d, o._d
+        return _gr(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -69,29 +91,27 @@ class GaussianRational:
         o = _exact(other)
         if o is None:
             return complex(self) - other if isinstance(other, complex) else NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return self + -o
 
     def __rsub__(self, other):
         o = _exact(other)
         if o is None:
             return other - complex(self) if isinstance(other, complex) else NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return o + -self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         o = _exact(other)
         if o is None:
             return complex(self) * other if isinstance(other, complex) else NotImplemented
-        if not self.im and not o.im:
-            if self.re == 1:
-                return o
-            if o.re == 1:
-                return self
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        a1, b1, d1, a2, b2, d2 = self._a, self._b, self._d, o._a, o._b, o._d
+        if not b1 and a1 == d1:
+            return o
+        if not b2 and a2 == d2:
+            return self
+        return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -99,11 +119,12 @@ class GaussianRational:
         o = _exact(other)
         if o is None:
             return complex(self) / other if isinstance(other, complex) else NotImplemented
-        n = o.re * o.re + o.im * o.im
+        a2, b2 = o._a, o._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (self.im * o.re - self.re * o.im) / n)
+        a1, b1 = self._a, self._b
+        return _gr((a1 * a2 + b1 * b2) * o._d, (b1 * a2 - a1 * b2) * o._d, self._d * n)
 
     def __rtruediv__(self, other):
         o = _exact(other)
@@ -112,50 +133,52 @@ class GaussianRational:
         return o / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __abs__(self) -> float:
-        return float(self.abs2()) ** 0.5
+        return ((self._a * self._a + self._b * self._b) / (self._d * self._d)) ** 0.5
 
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return not self._b and (self._a, self._d) == (other.numerator, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # That of the equal int or Fraction if real, else that of (re, im).
+        if self._d == 1:
+            return hash(self._a) if not self._b else hash((self._a, self._b))
+        return hash(self.re) if not self._b else hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     # -- conversions ------------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does.
+        return complex(self._a / self._d, self._b / self._d)
 
-    def __complex__(self) -> complex:
-        return self.to_complex()
+    __complex__ = to_complex
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        imag = f"{abs(self.im)}i" if abs(self.im) != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{imag}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        imag = f"{abs(im)}i" if abs(im) != 1 else "i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{imag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -185,7 +208,8 @@ class Combination:
 
     def __init__(self, semigroup, terms: dict):
         self.semigroup = semigroup
-        self.terms = {k: as_scalar(c) for k, c in terms.items() if c}
+        self.terms = {k: c if type(c) is GaussianRational else as_scalar(c)
+                      for k, c in terms.items() if c}
 
     @classmethod
     def _new(cls, semigroup, terms: dict):

@@ -60,6 +60,20 @@ def test_symbol_and_split(capsys):
     assert doc["ideal_part_in_ideal"] is True
 
 
+def test_symbol_and_split_bytes(capsys):
+    # The printed form of fractional and imaginary coefficients, byte for byte.
+    expr = "1/2*T(3) + (1-1i)*T*(3)*T(7) - 2/3*T*(7) + (2/5-3/4i)*T(7)*T*(7)"
+    head = ('{"schema": "sgalg-report/1", "command": "%s", "generators": [3, 7], '
+            '"expr": "' + expr + '", "symbol": {"coefficients": '
+            '[[-7, "-2/3"], [0, "2/5-3/4i"], [3, "1/2"], [4, "1-i"]]}, ')
+    exceptions = ", ".join(f'[{d}, "-2/5+3/4i"]' for d in range(0, 19, 3))
+    assert run_cli(capsys, "symbol", "--gens", "3,7", "--expr", expr) == (
+        0, head % "symbol" + '"in_ideal": false}\n')
+    assert run_cli(capsys, "split", "--gens", "3,7", "--expr", expr) == (
+        0, head % "split" + '"ideal_part": {"components": [{"index": 0, "exceptions": ['
+        + exceptions + '], "tail": "0", "threshold": 19}]}, "ideal_part_in_ideal": true}\n')
+
+
 def _word_text(word):
     return "*".join(f"T*({a})" if starred else f"T({a})" for a, starred in word)
 

@@ -156,6 +156,17 @@ def test_gauge_group_action():
         assert twice.deviation_from(once) < 1e-12
 
 
+def test_complex_weights_keep_complex_zeros():
+    # adjoint and shift conjugation extend a weight by zero off the semigroup;
+    # in a complex weight that zero is 0j, so the exact identities hold.
+    b = from_monomial(elementary(S23, 3, True))
+    x = gauge_twist(b, 0.3)
+    assert x.adjoint().adjoint() == x
+    assert gauge_twist(b, 0.0).conjugate(2) == gauge_twist(b.conjugate(2), 0.0)
+    for w in x.adjoint().components.values():
+        assert all(type(v) is complex for v in (w.tail, *w.exceptions.values()))
+
+
 def test_fourier_project_examples():
     a = (from_monomial(elementary(S23, 2, False))
          + from_monomial(elementary(S23, 3, True)))

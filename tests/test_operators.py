@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from sgalg.checks import random_word
+from sgalg.numeric import gauge_twist
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import compose, elementary, evaluate_word, max_translation
@@ -123,6 +126,29 @@ def test_multiply_against_action_oracle():
                         expect[out] = expect.get(out, ZERO) + coeff * c2
                 expect = {k: v for k, v in expect.items() if not v.is_zero}
                 assert ab.apply(d) == expect
+
+
+@pytest.mark.parametrize("gens", [(3, 7), (11, 13), (31, 37)])
+def test_closed_results_pass_the_public_check(gens):
+    # The operations below build their results without rescanning the support
+    # condition; each result must still pass the public constructor's check.
+    s = NumericalSemigroup(list(gens))
+    rng = random.Random(sum(gens))
+    coeffs = (ONE, GaussianRational(-1), GaussianRational(Fraction(2, 3), -1), I_UNIT)
+
+    def element():
+        monomials = (from_monomial(evaluate_word(s, random_word(rng, s, 4))) for _ in range(3))
+        return sum((m.scale(rng.choice(coeffs)) for m in monomials), OperatorElement.zero(s))
+
+    for _ in range(3):
+        a, b = element(), element()
+        results = [a + b, a.scale(rng.choice(coeffs)), a * b, b * a.adjoint(), a.adjoint(),
+                   a.conjugate(s.element_at(rng.randrange(1, 6))), gauge_twist(a, 0.7),
+                   from_monomial(evaluate_word(s, random_word(rng, s, 6))),
+                   OperatorElement.identity(s)]
+        results += [a.grade(c) for c in a.indices()]
+        for x in results:
+            assert OperatorElement(x.semigroup, dict(x.components)) == x
 
 
 def test_linear_dependence_of_indicators():

@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction
 
@@ -52,6 +53,74 @@ def test_string_forms():
 def test_hash_consistent_with_int_equality():
     assert GaussianRational(2) == 2
     assert hash(GaussianRational(2)) == hash(2)
+
+
+# -- the (a, b, d) form against a (Fraction, Fraction) reference ----------------
+
+pairs = st.tuples(rationals, rationals)
+
+
+def _ref_str(re: Fraction, im: Fraction) -> str:
+    if im == 0:
+        return str(re)
+    imag = f"{abs(im)}i" if abs(im) != 1 else "i"
+    return f"{re}{'+' if im > 0 else '-'}{imag}"
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+REFERENCE = {
+    operator.add: lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    operator.sub: lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    operator.mul: lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+    operator.truediv: _ref_div,
+}
+
+
+def assert_matches(g, ref):
+    """g is the canonical (a, b, d) form of the reference pair ref."""
+    assert isinstance(g, GaussianRational)
+    assert (g.re, g.im) == ref
+    assert g._d > 0 and math.gcd(g._a, g._b, g._d) == 1
+    assert (Fraction(g._a, g._d), Fraction(g._b, g._d)) == ref
+    assert str(g) == _ref_str(*ref)
+    assert g.to_complex() == complex(float(ref[0]), float(ref[1]))
+    assert g == GaussianRational(*ref)
+
+
+@given(pairs, pairs)
+def test_arithmetic_matches_fraction_pairs(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert_matches(gx, x)
+    # a Fraction on either side is the real value it denotes
+    real = (y[0], Fraction(0))
+    cases = ((gx, x, gy, y), (gx, x, y[0], real), (y[0], real, gx, x))
+    for op, ref in REFERENCE.items():
+        for left, left_ref, right, right_ref in cases:
+            if op is not operator.truediv or any(right_ref):
+                assert_matches(op(left, right), ref(left_ref, right_ref))
+    assert_matches(-gx, (-x[0], -x[1]))
+    assert_matches(gx.conjugate(), (x[0], -x[1]))
+    assert gx.abs2() == x[0] * x[0] + x[1] * x[1]
+    assert abs(gx) == float(x[0] * x[0] + x[1] * x[1]) ** 0.5
+
+
+@given(pairs)
+def test_equality_and_hash_agree_with_fraction(x):
+    g = GaussianRational(*x)
+    if x[1] == 0:
+        assert g == x[0] and x[0] == g
+        assert hash(g) == hash(x[0])
+        if x[0].denominator == 1:
+            assert g == int(x[0]) and hash(g) == hash(int(x[0]))
+    else:
+        assert g != x[0] and x[0] != g
+        assert hash(g) == hash(x)
+    assert g != x[0] + 1
+    assert {g: 1}[GaussianRational(*x)] == 1
 
 
 def test_mixing_with_complex_gives_complex():
