@@ -458,7 +458,7 @@ def suite_descent(s: NumericalSemigroup, seed: int = 0, window: Optional[int] = 
                                 "monomials": len(monos)},
                                (classes, lambda x, a: corner_diagram_check(x, a, window).passed)))
     else:
-        dependences = (FreeElement(s, dict(zip(monos, vec))) for vec in kernel)
+        dependences = (FreeElement(s, {monos[p]: c for p, c in vec}) for vec in kernel)
         found = [descent_witness(x, window) if rep(x).is_zero else None for x in dependences]
         witness_ok = all(f is not None and f[0][0] != f[0][1] for f in found)
         reports.append(_report("operator-level dependences exist and each has an "

@@ -155,10 +155,15 @@ def _tokenize(text: str) -> list[_Token]:
 # -- parser ----------------------------------------------------------------------
 
 
+# Deepest parenthesis nesting accepted, well inside Python's recursion limit.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -170,6 +175,17 @@ class _Parser:
                             tok.offset)
         self.pos += 1
         return tok
+
+    def open_paren(self) -> None:
+        """Consume a '(' that nests what follows one level deeper."""
+        tok = self.take("LPAREN")
+        if self.depth == MAX_NESTING:
+            raise ExprError(f"parentheses nest more than {MAX_NESTING} deep", tok.offset)
+        self.depth += 1
+
+    def close_paren(self) -> None:
+        self.take("RPAREN")
+        self.depth -= 1
 
     def finish(self, node):
         tok = self.peek()
@@ -217,9 +233,9 @@ class _Parser:
             self.take("RPAREN")
             return GenStar(a) if starred else Gen(a)
         if tok.kind == "LPAREN":
-            self.take("LPAREN")
+            self.open_paren()
             inner = self.parse_expr()
-            self.take("RPAREN")
+            self.close_paren()
             return Paren(inner)
         raise ExprError(f"expected an atom, found {tok.text or 'end of input'}",
                         tok.offset)
@@ -279,7 +295,7 @@ class _Parser:
         if name not in ("pm", "conv", "lin"):
             raise ExprError("expected a functional", tok.offset)
         self.pos += 1
-        self.take("LPAREN")
+        self.open_paren()
         if name == "pm":
             node = fn.point_mass(self.take_sign() * self.parse_rat())
         elif name == "conv":
@@ -299,7 +315,7 @@ class _Parser:
                     break
                 sign = 1 if self.take(self.peek().kind).kind == "PLUS" else -1
             node = fn.lin_combo(terms)
-        self.take("RPAREN")
+        self.close_paren()
         return node
 
 

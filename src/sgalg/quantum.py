@@ -347,63 +347,62 @@ def _operator_coordinates(elements: Sequence[OperatorElement]) -> list[dict]:
     return coords
 
 
-def monomial_kernel(pts: Sequence[PartialTranslation]) -> list[list[GaussianRational]]:
+def monomial_kernel(pts: Sequence[PartialTranslation]
+                    ) -> list[list[tuple[int, GaussianRational]]]:
     """Kernel basis of the operator span of distinct monomials, exact.
 
     The span decomposes by index, so the kernel is assembled per index class
-    in increasing index order; each vector has one coordinate per entry of pts.
+    in increasing index order; each vector is its nonzero (position in pts,
+    coefficient) pairs, in position order.
     """
     by_index: dict[int, list[int]] = {}
     for i, v in enumerate(pts):
         by_index.setdefault(v.index, []).append(i)
-    kernel: list[list[GaussianRational]] = []
+    kernel: list[list[tuple[int, GaussianRational]]] = []
     for c in sorted(by_index):
         positions = by_index[c]
         cols = _operator_coordinates([from_monomial(pts[i]) for i in positions])
-        for vec in exact_nullspace(cols):
-            full = [ZERO] * len(pts)
-            for coeff, pos in zip(vec, positions):
-                full[pos] = coeff
-            kernel.append(full)
+        kernel.extend([(p, x) for p, x in zip(positions, vec) if x]
+                      for vec in exact_nullspace(cols))
     return kernel
 
 
 def exact_nullspace(columns: Sequence[dict]) -> list[list[GaussianRational]]:
-    """Kernel basis of the linear map (l1..ln) -> sum li * column_i, exact."""
-    keys = sorted(set().union(*columns)) if columns else []
-    n = len(columns)
-    rows = [[columns[j].get(k, ZERO) for j in range(n)] for k in keys]
+    """Kernel basis of the linear map (l1..ln) -> sum li * column_i, exact.
 
-    # Reduced row echelon over the exact scalar field.
-    pivots = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero:
-                sel = i
-                break
-        if sel is None:
+    Reduced row echelon on sparse rows {column: value}, each pivot row the
+    shortest holding its column: the reduced form is unique whatever the choice.
+    """
+    by_key: dict = {}
+    for j, col in enumerate(columns):
+        for k, v in col.items():
+            by_key.setdefault(k, {})[j] = v
+    rest = list(by_key.values())
+    pivots: dict[int, dict[int, GaussianRational]] = {}
+    for col in range(len(columns)):
+        holding = [i for i, row in enumerate(rest) if col in row]
+        if not holding:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero:
-                f = rows[i][col]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
+        row = rest.pop(min(holding, key=lambda i: len(rest[i])))
+        inv = ONE / row[col]
+        row = {j: v * inv for j, v in row.items()}
+        for other in itertools.chain(rest, pivots.values()):
+            f = other.get(col)
+            if f is not None:
+                for j, v in row.items():
+                    x = other[j] - f * v if j in other else -f * v
+                    if x:
+                        other[j] = x
+                    else:
+                        del other[j]
+        pivots[col] = row
 
-    free_cols = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free_cols:
-        vec = [ZERO] * n
+    for fc in (j for j in range(len(columns)) if j not in pivots):
+        vec = [ZERO] * len(columns)
         vec[fc] = ONE
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
+        for pc, row in pivots.items():
+            vec[pc] = -row.get(fc, ZERO)
         basis.append(vec)
     return basis
 
@@ -460,17 +459,15 @@ def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
             return MorphismWitness("word", [(ONE, words[v])], [(ONE, word)], m)
 
     # Linear level: dependences among the source monomials must stay
-    # dependences among the images.
+    # dependences among the images.  With m = 0 every image is the identity,
+    # and the tail coordinate makes each dependence's coefficients sum to 0.
+    if m == 0:
+        return None
     for kappa in kernel:
-        image = OperatorElement.zero(s2)
-        for coeff, v in zip(kappa, pts):
-            if not coeff.is_zero:
-                image = image + from_monomial(image_for[v]).scale(coeff)
-        if not image.is_zero:
-            left = [(c, words[v]) for c, v in zip(kappa, pts)
-                    if not c.is_zero and (c.im != 0 or c.re > 0)]
-            right = [(-c, words[v]) for c, v in zip(kappa, pts)
-                     if not c.is_zero and c.im == 0 and c.re < 0]
+        image = FreeElement.collect(s2, ((image_for[pts[p]], c) for p, c in kappa))
+        if not rep(image).is_zero:
+            left = [(c, words[pts[p]]) for p, c in kappa if c.im != 0 or c.re > 0]
+            right = [(-c, words[pts[p]]) for p, c in kappa if c.im == 0 and c.re < 0]
             return MorphismWitness("combination", left, right, m)
     return None
 

@@ -118,6 +118,8 @@ class NumericalSemigroup:
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
         return self.generators == other.generators

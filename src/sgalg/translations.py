@@ -129,6 +129,14 @@ class PartialTranslation:
         self.index = index
         self.domain = domain
 
+    @classmethod
+    def _trusted(cls, semigroup: NumericalSemigroup, index: int,
+                 domain: EventualSet) -> "PartialTranslation":
+        """The translation, without the checks: for results that keep the invariant."""
+        self = cls.__new__(cls)
+        self.semigroup, self.index, self.domain = semigroup, index, domain
+        return self
+
     @property
     def sort_key(self):
         return (self.index, self.domain.threshold, self.domain.members_below)
@@ -189,13 +197,17 @@ def elementary(semigroup: NumericalSemigroup, a: int, starred: bool) -> PartialT
 
 
 def compose(v: PartialTranslation, w: PartialTranslation) -> PartialTranslation:
-    """Operator product v∘w: w acts first.  Indices add."""
+    """Operator product v∘w: w acts first.  Indices add.
+
+    w sends the result's domain into v's, so the invariant holds unchecked.
+    """
     if v.semigroup != w.semigroup:
         raise ValueError("cannot compose translations over different semigroups")
     s = v.semigroup
     # d is left out when w leaves it out or v leaves out d + index(w).
     mask = (w.domain.mask | _pullback(v.domain.mask, w.index)) & ~s.gapmask
-    return PartialTranslation(s, v.index + w.index, EventualSet.from_mask(s, mask))
+    return PartialTranslation._trusted(s, v.index + w.index,
+                                       EventualSet.from_mask(s, mask))
 
 
 def max_translation(semigroup: NumericalSemigroup, c: int) -> PartialTranslation:

@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
-from sgalg.scalars import ONE
-from sgalg.quantum import (FreeElement, coproduct, distinct_monomials,
-                           group_like_detect)
+from sgalg.scalars import ONE, ZERO
+from sgalg.operators import from_monomial
+from sgalg.quantum import (FreeElement, _operator_coordinates, coproduct,
+                           distinct_monomials, group_like_detect)
 
 
 def group_like_invariants_hold(semigroup, max_word_len, coefficients, max_terms,
@@ -38,3 +39,64 @@ def group_like_invariants_hold(semigroup, max_word_len, coefficients, max_terms,
 @pytest.fixture
 def group_like_invariants():
     return group_like_invariants_hold
+
+
+def dense_nullspace(columns):
+    """Kernel basis of (l1..ln) -> sum li * column_i by a dense reduced row
+    echelon over every coordinate key: the sparse elimination's reference."""
+    keys = sorted(set().union(*columns)) if columns else []
+    n = len(columns)
+    rows = [[columns[j].get(k, ZERO) for j in range(n)] for k in keys]
+    pivots = []
+    r = 0
+    for col in range(n):
+        sel = None
+        for i in range(r, len(rows)):
+            if not rows[i][col].is_zero:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = ONE / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][col].is_zero:
+                f = rows[i][col]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [ZERO] * n
+        vec[fc] = ONE
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -rows[ri][fc]
+        basis.append(vec)
+    return basis
+
+
+def dense_monomial_kernel(pts):
+    """monomial_kernel's basis with one coordinate per entry of pts, by index
+    class in increasing index order, each class through dense_nullspace."""
+    by_index = {}
+    for i, v in enumerate(pts):
+        by_index.setdefault(v.index, []).append(i)
+    kernel = []
+    for c in sorted(by_index):
+        positions = by_index[c]
+        cols = _operator_coordinates([from_monomial(pts[i]) for i in positions])
+        for vec in dense_nullspace(cols):
+            full = [ZERO] * len(pts)
+            for coeff, pos in zip(vec, positions):
+                full[pos] = coeff
+            kernel.append(full)
+    return kernel
+
+
+@pytest.fixture
+def dense_kernel():
+    return dense_nullspace, dense_monomial_kernel

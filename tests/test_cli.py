@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,43 @@ def test_symbol_and_split_bytes(capsys):
     assert run_cli(capsys, "split", "--gens", "3,7", "--expr", expr) == (
         0, head % "split" + '"ideal_part": {"components": [{"index": 0, "exceptions": ['
         + exceptions + '], "tail": "0", "threshold": 19}]}, "ideal_part_in_ideal": true}\n')
+
+
+@pytest.mark.parametrize("name, code, argv", [
+    ("morphism_s35_z_len7", 1, ("morphism", "--from", "3,5", "--to", "1", "--max-len", "7")),
+    ("morphism_s345_s23_len5", 1,
+     ("morphism", "--from", "3,4,5", "--to", "2,3", "--max-len", "5")),
+    ("descent_s37_seed0", 0, ("check", "--suite", "descent", "--gens", "3,7", "--seed", "0")),
+])
+def test_falsifier_and_descent_bytes(capsys, name, code, argv):
+    # Every word and combination witness and every kernel dimension, byte for byte.
+    expected = (Path(__file__).parent / "reports" / f"{name}.out").read_text()
+    assert run_cli(capsys, *argv) == (code, expected)
+
+
+def test_nesting_limit(capsys):
+    # Nesting past exprparse.MAX_NESTING exits 2 with the offset of the first
+    # '(' too deep, for element and functional input alike.
+    def element(depth):
+        return "(" * depth + "T(2)" + ")" * depth
+
+    def functional(depth):
+        return "conv(" * depth + "haar" + ",haar)" * depth
+
+    def run(depth):
+        return (run_cli(capsys, "symbol", "--gens", "2,3", "--expr", element(depth)),
+                run_cli(capsys, "convolve", "--gens", "2,3", "--functional",
+                        functional(depth), "--functional", "haar", "--expr", "T(2)"))
+
+    (code, out), (fcode, fout) = run(200)
+    assert code == 0 and json.loads(out)["symbol"]["coefficients"] == [[2, "1"]]
+    assert fcode == 0 and json.loads(fout)["value"] == "0"
+    for depth in (201, 2000):
+        (code, out), (fcode, fout) = run(depth)
+        for c, o, offset in ((code, out, 200), (fcode, fout, 1004)):
+            assert c == 2 and json.loads(o)["error"] == {
+                "kind": "input", "offset": offset,
+                "message": f"parentheses nest more than 200 deep (at byte {offset})"}
 
 
 def _word_text(word):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from sgalg.quantum import (FreeElement, FreeTensor, coaction_fixed,
                            coideal_decomposition, coproduct, corner_diagram_check,
                            delta_coaction, descent_witness, distinct_monomials,
                            enumerate_words, exact_nullspace, group_like_detect,
-                           group_like_survey,
+                           group_like_survey, monomial_kernel,
                            quantum_morphism_falsify, rep, tensor_adjoint,
                            tensor_multiply, tensor_of, weak_antipode,
                            weak_hopf_check)
@@ -291,6 +292,40 @@ def test_nullspace_unit():
     assert len(basis) == 1
     vec = basis[0]
     assert vec[0] * 1 + vec[1] == ZERO and vec[2] == ZERO
+
+
+def test_nullspace_matches_dense_reference(dense_kernel):
+    # Sparse columns with general Gaussian-rational entries, so pivots need
+    # scaling and rows fill in; the reduced echelon form, hence the basis, is
+    # the dense elimination's whatever the pivot rows chosen.
+    dense_nullspace, _ = dense_kernel
+    rng = random.Random(11)
+    values = (ONE, GaussianRational(-2), GaussianRational(1, 3), I_UNIT,
+              GaussianRational(Fraction(1, 2), -1))
+    for _ in range(60):
+        keys = range(rng.randint(1, 8))
+        cols = [{k: rng.choice(values) for k in keys if rng.random() < 0.4}
+                for _ in range(rng.randint(1, 9))]
+        assert exact_nullspace(cols) == dense_nullspace(cols)
+
+
+@pytest.mark.parametrize("gens,max_len", [([2, 3], 8), ([3, 5], 7), ([3, 4, 5], 5),
+                                          ([3, 7], 5), ([11, 13], 4)])
+def test_sparse_kernel_matches_dense_reference(dense_kernel, gens, max_len):
+    _, dense_monomial_kernel = dense_kernel
+    s = NumericalSemigroup(gens)
+    pts = sorted(distinct_monomials(s, max_len), key=lambda v: v.sort_key)
+    expanded = []
+    for vec in monomial_kernel(pts):
+        positions = [p for p, _ in vec]
+        assert all(p < q for p, q in zip(positions, positions[1:]))
+        assert all(not c.is_zero for _, c in vec)
+        assert rep(FreeElement(s, {pts[p]: c for p, c in vec})).is_zero
+        full = [ZERO] * len(pts)
+        for p, c in vec:
+            full[p] = c
+        expanded.append(full)
+    assert expanded == dense_monomial_kernel(pts)
 
 
 # -- short-word search ------------------------------------------------------------------

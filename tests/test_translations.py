@@ -119,6 +119,20 @@ def test_compose_examples():
         compose(elementary(S23, 2, False), elementary(Z, 1, False))
 
 
+@pytest.mark.parametrize("s", LADDER, ids=str)
+def test_compose_results_pass_the_public_check(s):
+    # compose builds its result without the constructor's checks; rebuilt
+    # through the public constructors, every result must come back equal.
+    letters = [elementary(s, a, st_) for a in s.generators for st_ in (False, True)]
+    values = set(letters)
+    for _ in range(2):
+        values |= {compose(v, w) for v in values for w in letters}
+    for v in values:
+        for w in values:
+            x = compose(v, w)
+            assert PartialTranslation(s, x.index, EventualSet(s, x.domain.excluded())) == x
+
+
 def test_adjoint_examples():
     t2s = elementary(S23, 2, False).adjoint()
     assert t2s == elementary(S23, 2, True)
