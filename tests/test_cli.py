@@ -75,14 +75,23 @@ def test_symbol_and_split_bytes(capsys):
         + exceptions + '], "tail": "0", "threshold": 19}]}, "ideal_part_in_ideal": true}\n')
 
 
+LARGE_F_EXPR = "T(31)*T*(37)*T(31) - 2*T*(31)*T(37) + 1/2*I"
+
+
 @pytest.mark.parametrize("name, code, argv", [
     ("morphism_s35_z_len7", 1, ("morphism", "--from", "3,5", "--to", "1", "--max-len", "7")),
     ("morphism_s345_s23_len5", 1,
      ("morphism", "--from", "3,4,5", "--to", "2,3", "--max-len", "5")),
     ("descent_s37_seed0", 0, ("check", "--suite", "descent", "--gens", "3,7", "--seed", "0")),
+    ("eval_s3137_basis40", 0, ("eval", "--gens", "31,37", "--expr", LARGE_F_EXPR,
+                               "--basis", "40")),
+    ("split_s3137", 0, ("split", "--gens", "31,37", "--expr", LARGE_F_EXPR)),
+    ("symbol_s1113_seed0", 0, ("check", "--suite", "symbol", "--gens", "11,13")),
+    ("fourier_s3137_seed0", 0, ("check", "--suite", "fourier", "--gens", "31,37")),
 ])
 def test_falsifier_and_descent_bytes(capsys, name, code, argv):
-    # Every word and combination witness and every kernel dimension, byte for byte.
+    # Every word and combination witness, every kernel dimension, and the
+    # operator reports and suites at F = 119 and F = 1079, byte for byte.
     expected = (Path(__file__).parent / "reports" / f"{name}.out").read_text()
     assert run_cli(capsys, *argv) == (code, expected)
 

@@ -101,31 +101,50 @@ def test_apply_examples():
     assert a.apply(2) == {4: GaussianRational(2), 3: ONE}
 
 
+def _word_index(word):
+    return sum(-a if starred else a for a, starred in word)
+
+
+def _oracle_rows(terms, s, members):
+    return {d: apply_oracle(terms, d, s) for d in members}
+
+
+# Each semigroup of the Frobenius ladder with the number of random pairs drawn.
+ORACLE_LADDER = ((Z, 60), (S23, 60), (NumericalSemigroup([3, 7]), 12),
+                 (NumericalSemigroup([11, 13]), 6), (NumericalSemigroup([31, 37]), 3))
+
+
 def test_multiply_against_action_oracle():
+    # Sums, products, adjoints and shift conjugations of random combinations,
+    # against the letter-by-letter word_action oracle at every basis point up
+    # to F plus the largest index any of the words reaches.
     rng = random.Random(17)
-    for s in (Z, S23):
-        for _ in range(60):
-            words_a = [(rng.choice((ONE, GaussianRational(-1), GaussianRational(2))),
-                        tuple((rng.choice(s.generators), rng.random() < 0.5)
-                              for _ in range(rng.randint(1, 4))))
+    for s, trials in ORACLE_LADDER:
+        for _ in range(trials):
+            terms_a = [(rng.choice((ONE, GaussianRational(-1), GaussianRational(2))),
+                        random_word(rng, s, 4)) for _ in range(rng.randint(1, 3))]
+            terms_b = [(rng.choice((ONE, I_UNIT)), random_word(rng, s, 4))
                        for _ in range(rng.randint(1, 3))]
-            words_b = [(rng.choice((ONE, I_UNIT)),
-                        tuple((rng.choice(s.generators), rng.random() < 0.5)
-                              for _ in range(rng.randint(1, 4))))
-                       for _ in range(rng.randint(1, 3))]
-            a = sum((from_monomial(evaluate_word(s, w)).scale(c) for c, w in words_a),
+            a = sum((from_monomial(evaluate_word(s, w)).scale(c) for c, w in terms_a),
                     OperatorElement.zero(s))
-            b = sum((from_monomial(evaluate_word(s, w)).scale(c) for c, w in words_b),
+            b = sum((from_monomial(evaluate_word(s, w)).scale(c) for c, w in terms_b),
                     OperatorElement.zero(s))
-            ab = a * b
-            for d in s.members_upto(16):
-                image_b = b.apply(d)
-                expect = {}
-                for mid, coeff in image_b.items():
-                    for out, c2 in a.apply(mid).items():
-                        expect[out] = expect.get(out, ZERO) + coeff * c2
-                expect = {k: v for k, v in expect.items() if not v.is_zero}
-                assert ab.apply(d) == expect
+            span = (max(abs(_word_index(w)) for _c, w in terms_a)
+                    + max(abs(_word_index(w)) for _c, w in terms_b))
+            window = s.members_upto(s.frobenius + span)
+            e = s.element_at(rng.randrange(1, 6))
+            products = [(ca * cb, wa + wb) for ca, wa in terms_a for cb, wb in terms_b]
+            conjugated = [(c, ((e, True),) + w + ((e, False),)) for c, w in terms_a]
+            ab, total, a_star, a_e = a * b, a + b, a.adjoint(), a.conjugate(e)
+            for d in window:
+                assert ab.apply(d) == apply_oracle(products, d, s)
+                assert total.apply(d) == apply_oracle(terms_a + terms_b, d, s)
+                assert a_e.apply(d) == apply_oracle(conjugated, d, s)
+            # <A* e_m, e_d> = conj <A e_d, e_m>, over every d that reaches the window.
+            rows = _oracle_rows(terms_a, s, s.members_upto(s.frobenius + 2 * span))
+            for m in window:
+                expect = {d: row[m].conjugate() for d, row in rows.items() if m in row}
+                assert a_star.apply(m) == expect
 
 
 @pytest.mark.parametrize("gens", [(3, 7), (11, 13), (31, 37)])
