@@ -1,9 +1,10 @@
 """Exact calculus for reduced semigroup C*-algebras of numerical semigroups.
 
 Layers: exact semigroup arithmetic, the inverse semigroup of partial
-translations, the faithful weighted-translation operator form with symbol
-and splitting, the free coalgebra with its weak Hopf structure and dual
-convolution, and a floating-point layer for norms and gauge averaging.
+translations, the faithful operator form (widest translations plus matrix
+units) with symbol and splitting, the free coalgebra with its weak Hopf
+structure and dual convolution, and a floating-point layer for norms and
+gauge averaging.
 """
 
 from .scalars import GaussianRational

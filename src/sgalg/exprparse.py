@@ -363,6 +363,9 @@ def _rat_str(q: Fraction) -> str:
 # -- binding to a semigroup -----------------------------------------------------------
 
 
+_BINARY = {Add: FreeElement.__add__, Sub: FreeElement.__sub__, Mul: FreeElement.__mul__}
+
+
 def to_free_element(node: Expression, semigroup: NumericalSemigroup) -> FreeElement:
     """Evaluate the AST in the free monomial algebra over the semigroup.
 
@@ -381,15 +384,17 @@ def to_free_element(node: Expression, semigroup: NumericalSemigroup) -> FreeElem
         if not semigroup.contains(node.a):
             raise ExprError(f"generator {node.a} is not in the semigroup")
         return FreeElement.monomial(elementary(semigroup, node.a, True))
-    if isinstance(node, Add):
-        return (to_free_element(node.left, semigroup)
-                + to_free_element(node.right, semigroup))
-    if isinstance(node, Sub):
-        return (to_free_element(node.left, semigroup)
-                - to_free_element(node.right, semigroup))
-    if isinstance(node, Mul):
-        return (to_free_element(node.left, semigroup)
-                * to_free_element(node.right, semigroup))
+    if type(node) in _BINARY:
+        # A flat chain parses as left-nested nodes: fold its left spine in a
+        # loop, so recursion goes only as deep as the parentheses nest.
+        spine = []
+        while type(node) in _BINARY:
+            spine.append(node)
+            node = node.left
+        acc = to_free_element(node, semigroup)
+        for op in reversed(spine):
+            acc = _BINARY[type(op)](acc, to_free_element(op.right, semigroup))
+        return acc
     if isinstance(node, Star):
         return to_free_element(node.inner, semigroup).star()
     if isinstance(node, Paren):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .scalars import GaussianRational
 from .semigroup import NumericalSemigroup
-from .operators import EventualWeight, LaurentPolynomial, OperatorElement, toeplitz_lift
+from .operators import LaurentPolynomial, OperatorElement, toeplitz_lift
 from .quantum import FreeElement, coproduct, rep, tensor_of
 from .translations import elementary, evaluate_word
 
@@ -102,17 +102,15 @@ def norm_convergence(f: LaurentPolynomial, semigroup: NumericalSemigroup,
 
 
 def gauge_twist(a: OperatorElement, theta: float) -> OperatorElement:
-    """Multiply every index-c component by exp(i*c*theta); complex weights."""
-    out = {}
-    for c, w in a.components.items():
-        z = cmath.exp(1j * c * theta)
-        out[c] = EventualWeight({d: z * v for d, v in w.exceptions.items()}, z * w.tail)
-    return OperatorElement._closed(a.semigroup, out)
+    """Multiply every index-c key by exp(i*c*theta); complex coefficients."""
+    phases = {c: cmath.exp(1j * c * theta) for c in a.indices()}
+    return OperatorElement._new(a.semigroup,
+                                {k: phases[k[0]] * v for k, v in a.terms.items()})
 
 
 def fourier_project(a: OperatorElement, target_index: int, samples: int) -> OperatorElement:
     """Average of gauge twists against one character; recovers one grade."""
-    span = max((abs(c) for c in a.components), default=0)
+    span = max((abs(c) for c in a.indices()), default=0)
     if samples <= 2 * span:
         raise ValueError(f"need more than {2 * span} samples for index span {span}")
     acc = OperatorElement.zero(a.semigroup)

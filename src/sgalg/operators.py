@@ -1,23 +1,29 @@
 """Exact calculus for the dense subalgebra of weighted translations.
 
-An element is stored per shift index as an eventually-constant weight
-function on the semigroup.  This form is faithful: the element is zero
-exactly when no component is stored.  Monomial indicator combinations are
-linearly dependent for non-totally-ordered semigroups, so the weight form
+An element is a finite combination of two kinds of basis operator: the
+widest translation M_c of each index c (e_d -> e_{d+c} wherever d + c stays
+a member), keyed ``(c, None)``, and the matrix unit e_d -> e_{d+c} between
+members d and d + c, keyed ``(c, d)``.  This is Coburn's extension
+0 -> K -> C*(S) -> C(T) -> 0 on the dense algebra: the widest translations
+lift the symbol, and the matrix units span the finite part of the
+commutator ideal.  The keys are linearly independent (at one index M_c acts
+at infinitely many members, the units at finitely many), so this form is
+faithful: the element is zero exactly when no key is stored, and operator
+equality is equality of the term dicts.  Monomial indicator combinations
+are linearly dependent for non-totally-ordered semigroups, so this form
 (not a monomial expansion) is what makes operator equality decidable.
 
-Weights are exact Gaussian rationals or complex floats; the float layer
+Coefficients are exact Gaussian rationals or complex floats; the float layer
 (gauge twists, Fourier projection) uses the same elements with complex
-weights, and their symbols have complex coefficients.
+coefficients, and their symbols have complex coefficients.  ``components``
+reads an element as one eventually constant weight per index.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .scalars import Combination, GaussianRational, ONE, ZERO, as_scalar
-from .semigroup import NumericalSemigroup
-from .translations import PartialTranslation, elementary, max_translation
+from .semigroup import NumericalSemigroup, bit_positions
+from .translations import PartialTranslation, _leaving, elementary
 
 
 class EventualWeight:
@@ -25,9 +31,10 @@ class EventualWeight:
 
     Stored as the constant tail value plus the finitely many members where
     the value differs from it.  A weight with a complex value is all complex.
+    Read-only: ``OperatorElement.components`` builds one per index.
     """
 
-    __slots__ = ("exceptions", "tail", "_key")
+    __slots__ = ("exceptions", "tail")
 
     def __init__(self, exceptions: dict, tail):
         if isinstance(tail, complex) or any(isinstance(v, complex)
@@ -35,11 +42,9 @@ class EventualWeight:
             tail = complex(tail)
             exceptions = {d: complex(v) for d, v in exceptions.items()}
         tail = as_scalar(tail)
-        cleaned = {d: v if type(v) is GaussianRational else as_scalar(v)
-                   for d, v in exceptions.items() if v != tail}
-        self.exceptions = cleaned
+        self.exceptions = {d: v if type(v) is GaussianRational else as_scalar(v)
+                           for d, v in exceptions.items() if v != tail}
         self.tail = tail
-        self._key = (tuple(sorted(cleaned.items())), tail)
 
     @property
     def threshold(self) -> int:
@@ -52,30 +57,8 @@ class EventualWeight:
     def is_zero(self) -> bool:
         return not self.tail and not self.exceptions
 
-    def __eq__(self, other):
-        if not isinstance(other, EventualWeight):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
     def __repr__(self):
         return f"EventualWeight({self.exceptions!r}, tail={self.tail!r})"
-
-
-def weight_from_fn(s: NumericalSemigroup, fn: Callable[[int], object],
-                   bound: int, tail) -> EventualWeight:
-    """Weight equal to fn on members below bound and to tail from bound on."""
-    return EventualWeight({d: fn(d) for d in s.members_upto(bound - 1)}, tail)
-
-
-def _value_ext(s: NumericalSemigroup, w: EventualWeight, x: int):
-    """Weight value extended by zero off the semigroup.
-
-    The zero is the int 0, which mixes with exact and complex values alike.
-    """
-    return w.value(x) if s.contains(x) else 0
 
 
 class LaurentPolynomial(Combination):
@@ -121,147 +104,103 @@ class LaurentPolynomial(Combination):
         return {"coefficients": [[c, str(v)] for c, v in sorted(self.terms.items())]}
 
 
-class OperatorElement:
-    """Element of the dense subalgebra in faithful weighted-translation form."""
+class OperatorElement(Combination):
+    """Element of the dense subalgebra: widest translations plus matrix units.
 
-    __slots__ = ("semigroup", "components", "_key")
+    ``terms`` maps ``(c, None)`` (the widest translation of index c) and
+    ``(c, d)`` (the unit e_d -> e_{d+c}) to coefficients.
+    """
 
-    def __init__(self, semigroup: NumericalSemigroup,
-                 components: dict[int, EventualWeight]):
-        comps = {int(c): w for c, w in components.items() if not w.is_zero}
-        for c, w in comps.items():
-            # Support condition: the weight must vanish wherever the shifted
-            # basis point would leave the semigroup.
-            bound = max(semigroup.frobenius - c, -c, -1)
-            for d in semigroup.members_upto(bound):
-                if not semigroup.contains(d + c) and w.value(d):
-                    raise ValueError(
-                        f"component {c} has weight {w.value(d)} at {d}, "
-                        f"but {d}+{c} is outside the semigroup")
-        self._fill(semigroup, comps)
+    __slots__ = ("_weights",)
 
-    @classmethod
-    def _closed(cls, semigroup: NumericalSemigroup,
-                components: dict[int, EventualWeight]) -> "OperatorElement":
-        """Element of weights known to meet the support condition, not rescanned."""
-        out = cls.__new__(cls)
-        out._fill(semigroup, {c: w for c, w in components.items() if not w.is_zero})
-        return out
-
-    def _fill(self, semigroup: NumericalSemigroup, comps: dict[int, EventualWeight]):
-        self.semigroup = semigroup
-        self.components = comps
-        self._key = (semigroup, tuple(sorted((c, w._key) for c, w in comps.items())))
+    def __init__(self, semigroup: NumericalSemigroup, terms: dict):
+        for c, d in terms:
+            if d is not None and not (semigroup.contains(d) and semigroup.contains(d + c)):
+                raise ValueError(f"matrix unit ({c}, {d}) needs members {d} and {d}+{c}")
+        super().__init__(semigroup, terms)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, semigroup: NumericalSemigroup) -> "OperatorElement":
-        return cls(semigroup, {})
+        return cls._new(semigroup, {})
 
     @classmethod
     def identity(cls, semigroup: NumericalSemigroup) -> "OperatorElement":
-        return cls._closed(semigroup, {0: EventualWeight({}, ONE)})
+        return cls._new(semigroup, {(0, None): ONE})
 
     # -- basic structure ----------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
     def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.components))
+        return tuple(sorted({c for c, _d in self.terms}))
+
+    @property
+    def components(self) -> dict[int, EventualWeight]:
+        """The weight of each index, in increasing index order; built once."""
+        weights = getattr(self, "_weights", None)
+        if weights is None:
+            tails, units = {}, {}
+            for (c, d), v in self.terms.items():
+                if d is None:
+                    tails[c] = v
+                else:
+                    units.setdefault(c, {})[d] = v
+            weights = {}
+            for c in sorted(tails.keys() | units.keys()):
+                m = tails.get(c, 0)
+                # M_c is zero on the members it would send out of the semigroup.
+                values = dict.fromkeys(bit_positions(_leaving(self.semigroup, c)), 0) if m else {}
+                values.update((d, m + u) for d, u in units.get(c, {}).items())
+                weights[c] = EventualWeight(values, m)
+            self._weights = weights
+        return weights
 
     def weight_at(self, c: int) -> EventualWeight:
         return self.components.get(c, EventualWeight({}, ZERO))
 
-    def _check_same(self, other: "OperatorElement"):
-        if self.semigroup != other.semigroup:
-            raise ValueError("elements over different semigroups")
+    # -- algebra -------------------------------------------------------------
 
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, OperatorElement):
-            return NotImplemented
-        self._check_same(other)
-        s = self.semigroup
-        out: dict[int, EventualWeight] = {}
-        for c in set(self.components) | set(other.components):
-            wa, wb = self.components.get(c), other.components.get(c)
-            if wa is None or wb is None:
-                # A component on one side only is copied, not rebuilt.
-                out[c] = wb if wa is None else wa
-                continue
-            bound = max(wa.threshold, wb.threshold)
-            out[c] = weight_from_fn(s, lambda d: wa.value(d) + wb.value(d),
-                                    bound, wa.tail + wb.tail)
-        return OperatorElement._closed(s, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, OperatorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scale(GaussianRational(-1))
-
-    def scale(self, scalar) -> "OperatorElement":
-        scalar = as_scalar(scalar)
-        if not scalar:
-            return OperatorElement.zero(self.semigroup)
-        out = {c: EventualWeight({d: scalar * v for d, v in w.exceptions.items()},
-                                 scalar * w.tail)
-               for c, w in self.components.items()}
-        return OperatorElement._closed(self.semigroup, out)
+    # Bound in this class's own namespace, where perfbench/tracing.py looks.
+    __add__ = Combination.__add__
 
     def __mul__(self, other):
-        if isinstance(other, OperatorElement):
-            return self._product(other)
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    def __rmul__(self, other):
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    # -- multiplicative structure --------------------------------------------
-
-    def _product(self, other: "OperatorElement") -> "OperatorElement":
         """Operator product; the right factor acts first."""
-        self._check_same(other)
+        if type(other) is not OperatorElement:
+            return super().__mul__(other)
+        self._same(other)
         s = self.semigroup
-        pieces: dict[int, list[tuple[EventualWeight, int, EventualWeight]]] = {}
-        for c1, w1 in self.components.items():
-            for c2, w2 in other.components.items():
-                pieces.setdefault(c1 + c2, []).append((w1, c2, w2))
-        out: dict[int, EventualWeight] = {}
-        for c, plist in pieces.items():
-            def fn(d, plist=plist):
-                acc = 0
-                for w1, c2, w2 in plist:
-                    acc = acc + w2.value(d) * _value_ext(s, w1, d + c2)
-                return acc
-            bound = max(max(w2.threshold, w1.threshold - c2,
-                            s.frobenius + 1 - c2, -c2, 0)
-                        for w1, c2, w2 in plist)
-            tail = sum(w1.tail * w2.tail for w1, _c2, w2 in plist)
-            out[c] = weight_from_fn(s, fn, bound, tail)
-        return OperatorElement._closed(s, out)
+        member = s.contains
+        left_tails, left_units = _parts(self)
+        right_tails, right_units = _parts(other)
+        by_target: dict[int, list] = {}
+        for (c, d), u in right_units:
+            by_target.setdefault(d + c, []).append((c, d, u))
+
+        def pairs():
+            for a, x in left_tails:
+                for b, y in right_tails:
+                    # M_a M_b = M_{a+b} on the d with d + b a member.
+                    xy = x * y
+                    yield (a + b, None), xy
+                    for d in bit_positions(_leaving(s, b) & ~_leaving(s, a + b)):
+                        yield (a + b, d), -xy
+                for (c, d), u in right_units:
+                    if member(d + c + a):
+                        yield (c + a, d), x * u
+            for (c, d), u in left_units:
+                for b, y in right_tails:
+                    if member(d - b):
+                        yield (c + b, d - b), u * y
+                for c2, d2, u2 in by_target.get(d, ()):
+                    yield (c + c2, d2), u * u2
+
+        return OperatorElement.collect(s, pairs())
 
     def adjoint(self) -> "OperatorElement":
-        s = self.semigroup
-        out: dict[int, EventualWeight] = {}
-        for c, w in self.components.items():
-            bound = max(w.threshold + c, s.frobenius + c + 1, c, 0)
-            out[-c] = weight_from_fn(
-                s, lambda d, w=w, c=c: _value_ext(s, w, d - c).conjugate(),
-                bound, w.tail.conjugate())
-        return OperatorElement._closed(s, out)
+        """M_c* = M_{-c} and (e_d -> e_{d+c})* = (e_{d+c} -> e_d), coefficients conjugated."""
+        return OperatorElement._new(self.semigroup, {
+            (-c, None if d is None else d + c): v.conjugate()
+            for (c, d), v in self.terms.items()})
 
     # -- basis action ---------------------------------------------------------
 
@@ -280,9 +219,8 @@ class OperatorElement:
 
     def grade(self, c: int) -> "OperatorElement":
         """The single index-c graded component (zero element when absent)."""
-        if c in self.components:
-            return OperatorElement._closed(self.semigroup, {c: self.components[c]})
-        return OperatorElement.zero(self.semigroup)
+        return OperatorElement._new(self.semigroup,
+                                    {k: v for k, v in self.terms.items() if k[0] == c})
 
     def expectation(self) -> "OperatorElement":
         """Projection onto the zero-index subalgebra."""
@@ -295,96 +233,86 @@ class OperatorElement:
         return max((w.threshold for w in self.components.values()), default=0)
 
     def conjugate(self, e: int) -> "OperatorElement":
-        """Shift conjugation T_e* A T_e, computed exactly."""
+        """Shift conjugation T_e* A T_e: fixes each M_c, moves each unit down by e."""
         s = self.semigroup
         if not s.contains(e):
             raise ValueError(f"{e} is not a member")
-        out: dict[int, EventualWeight] = {}
-        for c, w in self.components.items():
-            bound = max(w.threshold - e, s.frobenius - c + 1, -c, 0)
-
-            def fn(d, w=w, c=c):
-                if not s.contains(d + c):
-                    return 0
-                return w.value(d + e)
-            out[c] = weight_from_fn(s, fn, bound, w.tail)
-        # Accumulate: distinct indices stay distinct, so plain dict is fine.
-        return OperatorElement._closed(s, out)
+        return OperatorElement._new(s, {
+            (c, d if d is None else d - e): v for (c, d), v in self.terms.items()
+            if d is None or (s.contains(d - e) and s.contains(d + c - e))})
 
     def symbol(self) -> LaurentPolynomial:
-        """Image in the commutative quotient: one coefficient per tail value."""
-        return LaurentPolynomial({c: w.tail for c, w in self.components.items()})
+        """Image in the commutative quotient: the widest translations' coefficients."""
+        return LaurentPolynomial({c: v for (c, d), v in self.terms.items() if d is None})
 
     def in_ideal(self) -> bool:
         """Membership in the commutator ideal: vanishing symbol."""
         return self.symbol().is_zero
 
     def split(self) -> tuple[LaurentPolynomial, "OperatorElement"]:
-        """Exact splitting A = lift(symbol(A)) + ideal part."""
-        f = self.symbol()
-        return f, self - toeplitz_lift(f, self.semigroup)
+        """Exact splitting A = lift(symbol(A)) + ideal part, the matrix units."""
+        return self.symbol(), OperatorElement._new(
+            self.semigroup, {k: v for k, v in self.terms.items() if k[1] is not None})
 
     def is_isometry(self) -> bool:
         return self.adjoint() * self == OperatorElement.identity(self.semigroup)
 
     def deviation_from(self, other: "OperatorElement") -> float:
-        """Max absolute weight difference over all indices and sample points."""
+        """Max absolute weight difference over all indices and members."""
         dev = 0.0
-        for c in set(self.components) | set(other.components):
+        for c in self.components.keys() | other.components.keys():
             wa, wb = self.weight_at(c), other.weight_at(c)
             dev = max(dev, abs(wa.tail - wb.tail))
-            for d in self.semigroup.members_upto(max(wa.threshold, wb.threshold) - 1):
+            for d in wa.exceptions.keys() | wb.exceptions.keys():
                 dev = max(dev, abs(wa.value(d) - wb.value(d)))
         return dev
 
-    # -- value semantics ------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorElement):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+    # -- printing -------------------------------------------------------------------
 
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
-        for c in self.indices():
-            w = self.components[c]
+        for c, w in self.components.items():
             exc = ",".join(f"{d}:{v}" for d, v in sorted(w.exceptions.items()))
             parts.append(f"[{c}] ({{{exc}}}, tail={w.tail}, N={w.threshold})")
         return "; ".join(parts)
 
     def __repr__(self):
-        return f"OperatorElement({self.semigroup!r}, {self.components!r})"
+        return f"OperatorElement({self.semigroup!r}, {self.terms!r})"
 
     def to_json_dict(self) -> dict:
-        comps = []
-        for c in self.indices():
-            w = self.components[c]
-            comps.append({
-                "index": c,
-                "exceptions": [[d, str(v)] for d, v in sorted(w.exceptions.items())],
-                "tail": str(w.tail),
-                "threshold": w.threshold,
-            })
-        return {"components": comps}
+        return {"components": [
+            {"index": c,
+             "exceptions": [[d, str(v)] for d, v in sorted(w.exceptions.items())],
+             "tail": str(w.tail),
+             "threshold": w.threshold}
+            for c, w in self.components.items()]}
+
+
+def _parts(a: OperatorElement) -> tuple[list, list]:
+    """The (index, coefficient) pairs of the widest translations and the
+    ((index, source), coefficient) pairs of the matrix units."""
+    tails, units = [], []
+    for (c, d), v in a.terms.items():
+        if d is None:
+            tails.append((c, v))
+        else:
+            units.append(((c, d), v))
+    return tails, units
 
 
 def from_monomial(v: PartialTranslation) -> OperatorElement:
-    """Indicator weight of the translation's domain, at its index."""
-    w = EventualWeight({d: ZERO for d in v.domain.excluded()}, ONE)
-    return OperatorElement._closed(v.semigroup, {v.index: w})
+    """M_c minus the units at the members v's domain leaves out beyond M_c's."""
+    s, c = v.semigroup, v.index
+    terms = {(c, d): -ONE for d in bit_positions(v.domain.mask & ~_leaving(s, c))}
+    terms[(c, None)] = ONE
+    return OperatorElement._new(s, terms)
 
 
 def toeplitz_lift(f: LaurentPolynomial, semigroup: NumericalSemigroup) -> OperatorElement:
     """Combination of widest translations with prescribed symbol f."""
-    acc = OperatorElement.zero(semigroup)
-    for c, coeff in f.terms.items():
-        acc = acc + from_monomial(max_translation(semigroup, c)).scale(coeff)
-    return acc
+    return OperatorElement._new(semigroup, {(c, None): v for c, v in f.terms.items()})
 
 
 def generator_commutator(semigroup: NumericalSemigroup, a: int, b: int,

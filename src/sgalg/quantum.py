@@ -106,10 +106,8 @@ class FreeTensor(Combination):
 
 def rep(x: FreeElement) -> OperatorElement:
     """Forgetful map to the operator algebra; not injective when gaps exist."""
-    acc = OperatorElement.zero(x.semigroup)
-    for v, c in x.terms.items():
-        acc = acc + from_monomial(v).scale(c)
-    return acc
+    return OperatorElement.collect(x.semigroup, ((k, c * u) for v, c in x.terms.items()
+                                                 for k, u in from_monomial(v).terms.items()))
 
 
 def coproduct(x: FreeElement) -> FreeTensor:
@@ -326,34 +324,14 @@ def distinct_monomials(semigroup: NumericalSemigroup, max_len: int
     return first_words(elementary(semigroup, 0, False), steps, max_len)
 
 
-def _operator_coordinates(elements: Sequence[OperatorElement]) -> list[dict]:
-    """Faithful finite coordinates shared by a family of elements."""
-    window: dict[int, int] = {}
-    for el in elements:
-        for c, w in el.components.items():
-            window[c] = max(window.get(c, 0), w.threshold)
-    coords = []
-    for el in elements:
-        vec: dict[tuple, GaussianRational] = {}
-        for c, hi in window.items():
-            w = el.weight_at(c)
-            if not w.tail.is_zero:
-                vec[("tail", c)] = w.tail
-            for d in el.semigroup.members_upto(hi - 1):
-                v = w.value(d)
-                if not v.is_zero:
-                    vec[("at", c, d)] = v
-        coords.append(vec)
-    return coords
-
-
 def monomial_kernel(pts: Sequence[PartialTranslation]
                     ) -> list[list[tuple[int, GaussianRational]]]:
     """Kernel basis of the operator span of distinct monomials, exact.
 
     The span decomposes by index, so the kernel is assembled per index class
-    in increasing index order; each vector is its nonzero (position in pts,
-    coefficient) pairs, in position order.
+    in increasing index order; the columns are the monomials' operator terms,
+    and each vector is its nonzero (position in pts, coefficient) pairs, in
+    position order.
     """
     by_index: dict[int, list[int]] = {}
     for i, v in enumerate(pts):
@@ -361,7 +339,7 @@ def monomial_kernel(pts: Sequence[PartialTranslation]
     kernel: list[list[tuple[int, GaussianRational]]] = []
     for c in sorted(by_index):
         positions = by_index[c]
-        cols = _operator_coordinates([from_monomial(pts[i]) for i in positions])
+        cols = [from_monomial(pts[i]).terms for i in positions]
         kernel.extend([(p, x) for p, x in zip(positions, vec) if x]
                       for vec in exact_nullspace(cols))
     return kernel
@@ -460,7 +438,7 @@ def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
 
     # Linear level: dependences among the source monomials must stay
     # dependences among the images.  With m = 0 every image is the identity,
-    # and the tail coordinate makes each dependence's coefficients sum to 0.
+    # and the widest-translation key makes each dependence's coefficients sum to 0.
     if m == 0:
         return None
     for kappa in kernel:

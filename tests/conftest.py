@@ -6,8 +6,7 @@ import pytest
 
 from sgalg.scalars import ONE, ZERO
 from sgalg.operators import from_monomial
-from sgalg.quantum import (FreeElement, _operator_coordinates, coproduct,
-                           distinct_monomials, group_like_detect)
+from sgalg.quantum import FreeElement, coproduct, distinct_monomials, group_like_detect
 
 
 def group_like_invariants_hold(semigroup, max_word_len, coefficients, max_terms,
@@ -79,16 +78,40 @@ def dense_nullspace(columns):
     return basis
 
 
+def operator_coordinates(elements):
+    """Faithful finite coordinates shared by a family of elements, sampled from
+    the weights: each index's tail, and its value at every member below the
+    largest threshold the family has at that index."""
+    window = {}
+    for el in elements:
+        for c, w in el.components.items():
+            window[c] = max(window.get(c, 0), w.threshold)
+    coords = []
+    for el in elements:
+        vec = {}
+        for c, hi in window.items():
+            w = el.weight_at(c)
+            if not w.tail.is_zero:
+                vec[("tail", c)] = w.tail
+            for d in el.semigroup.members_upto(hi - 1):
+                v = w.value(d)
+                if not v.is_zero:
+                    vec[("at", c, d)] = v
+        coords.append(vec)
+    return coords
+
+
 def dense_monomial_kernel(pts):
     """monomial_kernel's basis with one coordinate per entry of pts, by index
-    class in increasing index order, each class through dense_nullspace."""
+    class in increasing index order, each class through dense_nullspace on
+    the weight-sampled coordinates."""
     by_index = {}
     for i, v in enumerate(pts):
         by_index.setdefault(v.index, []).append(i)
     kernel = []
     for c in sorted(by_index):
         positions = by_index[c]
-        cols = _operator_coordinates([from_monomial(pts[i]) for i in positions])
+        cols = operator_coordinates([from_monomial(pts[i]) for i in positions])
         for vec in dense_nullspace(cols):
             full = [ZERO] * len(pts)
             for coeff, pos in zip(vec, positions):

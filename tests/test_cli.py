@@ -121,6 +121,14 @@ def test_nesting_limit(capsys):
                 "message": f"parentheses nest more than 200 deep (at byte {offset})"}
 
 
+def test_flat_expressions_of_any_length(capsys):
+    # A flat sum or product is a left-nested chain as long as the expression.
+    code, out = run_cli(capsys, "symbol", "--gens", "1", "--expr", "+".join(["I"] * 5000))
+    assert code == 0 and json.loads(out)["symbol"]["coefficients"] == [[0, "5000"]]
+    code, out = run_cli(capsys, "symbol", "--gens", "2,3", "--expr", "*".join(["T(2)"] * 1000))
+    assert code == 0 and json.loads(out)["symbol"]["coefficients"] == [[2000, "1"]]
+
+
 def _word_text(word):
     return "*".join(f"T*({a})" if starred else f"T({a})" for a, starred in word)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import operator_coordinates
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import elementary, evaluate_word, max_translation
@@ -264,12 +265,11 @@ def test_descent_diagonal_never_witnesses():
 
 def test_no_dependences_over_totally_ordered():
     monos = sorted(distinct_monomials(Z, 6), key=lambda v: v.sort_key)
-    from sgalg.quantum import _operator_coordinates
     by_index = {}
     for v in monos:
         by_index.setdefault(v.index, []).append(v)
     for vs in by_index.values():
-        cols = _operator_coordinates([from_monomial(v) for v in vs])
+        cols = operator_coordinates([from_monomial(v) for v in vs])
         assert exact_nullspace(cols) == []
 
 
