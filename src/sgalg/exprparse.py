@@ -25,6 +25,7 @@ at 2*pi/3.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -363,7 +364,7 @@ def _rat_str(q: Fraction) -> str:
 # -- binding to a semigroup -----------------------------------------------------------
 
 
-_BINARY = {Add: FreeElement.__add__, Sub: FreeElement.__sub__, Mul: FreeElement.__mul__}
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def to_free_element(node: Expression, semigroup: NumericalSemigroup) -> FreeElement:

@@ -139,12 +139,10 @@ class OperatorElement(Combination):
         """The weight of each index, in increasing index order; built once."""
         weights = getattr(self, "_weights", None)
         if weights is None:
-            tails, units = {}, {}
-            for (c, d), v in self.terms.items():
-                if d is None:
-                    tails[c] = v
-                else:
-                    units.setdefault(c, {})[d] = v
+            tail_pairs, unit_pairs = _parts(self)
+            tails, units = dict(tail_pairs), {}
+            for (c, d), v in unit_pairs:
+                units.setdefault(c, {})[d] = v
             weights = {}
             for c in sorted(tails.keys() | units.keys()):
                 m = tails.get(c, 0)
@@ -243,7 +241,7 @@ class OperatorElement(Combination):
 
     def symbol(self) -> LaurentPolynomial:
         """Image in the commutative quotient: the widest translations' coefficients."""
-        return LaurentPolynomial({c: v for (c, d), v in self.terms.items() if d is None})
+        return LaurentPolynomial(dict(_parts(self)[0]))
 
     def in_ideal(self) -> bool:
         """Membership in the commutator ideal: vanishing symbol."""
@@ -251,8 +249,7 @@ class OperatorElement(Combination):
 
     def split(self) -> tuple[LaurentPolynomial, "OperatorElement"]:
         """Exact splitting A = lift(symbol(A)) + ideal part, the matrix units."""
-        return self.symbol(), OperatorElement._new(
-            self.semigroup, {k: v for k, v in self.terms.items() if k[1] is not None})
+        return self.symbol(), OperatorElement._new(self.semigroup, dict(_parts(self)[1]))
 
     def is_isometry(self) -> bool:
         return self.adjoint() * self == OperatorElement.identity(self.semigroup)

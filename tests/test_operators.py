@@ -101,8 +101,10 @@ def test_apply_examples():
     assert a.apply(2) == {4: GaussianRational(2), 3: ONE}
 
 
-def _word_index(word):
-    return sum(-a if starred else a for a, starred in word)
+def _word_depth(word):
+    # No partial sum of the letters' moves exceeds this, so above F plus the
+    # depth the word acts as a plain translation.
+    return sum(a for a, _starred in word)
 
 
 # Each semigroup of the Frobenius ladder with the number of random pairs drawn.
@@ -111,9 +113,9 @@ ORACLE_LADDER = ((Z, 60), (S23, 60), (NumericalSemigroup([3, 7]), 12),
 
 
 def test_multiply_against_action_oracle():
-    # Sums, products, adjoints and shift conjugations of random combinations,
+    # Sums, products, adjoints of sums and products, and shift conjugations,
     # against the letter-by-letter word_action oracle at every basis point up
-    # to F plus the largest index any of the words reaches.
+    # to F plus the depth of the deepest word, and never below 16.
     rng = random.Random(17)
     for s, trials in ORACLE_LADDER:
         for _ in range(trials):
@@ -125,27 +127,29 @@ def test_multiply_against_action_oracle():
                     OperatorElement.zero(s))
             b = sum((from_monomial(evaluate_word(s, w)).scale(c) for c, w in terms_b),
                     OperatorElement.zero(s))
-            span = (max(abs(_word_index(w)) for _c, w in terms_a)
-                    + max(abs(_word_index(w)) for _c, w in terms_b))
-            window = s.members_upto(s.frobenius + span)
             e = s.element_at(rng.randrange(1, 6))
+            depth = (max(_word_depth(w) for _c, w in terms_a)
+                     + max(_word_depth(w) for _c, w in terms_b) + 2 * e)
+            top = max(16, s.frobenius + depth)
+            window = s.members_upto(top)
             terms = terms_a + terms_b
             ab_terms = [(ca * cb, wa + wb) for ca, wa in terms_a for cb, wb in terms_b]
             ba_terms = [(cb * ca, wb + wa) for ca, wa in terms_a for cb, wb in terms_b]
             conjugated = [(c, ((e, True),) + w + ((e, False),)) for c, w in terms]
             ab, ba, total = a * b, b * a, a + b
-            total_star, total_e = total.adjoint(), total.conjugate(e)
+            total_e = total.conjugate(e)
             for d in window:
                 assert ab.apply(d) == apply_oracle(ab_terms, d, s)
                 assert ba.apply(d) == apply_oracle(ba_terms, d, s)
                 assert total.apply(d) == apply_oracle(terms, d, s)
                 assert total_e.apply(d) == apply_oracle(conjugated, d, s)
-            # <A* e_m, e_d> = conj <A e_d, e_m>, over every d that reaches the window.
-            rows = {d: apply_oracle(terms, d, s)
-                    for d in s.members_upto(s.frobenius + 2 * span)}
-            for m in window:
-                expect = {d: row[m].conjugate() for d, row in rows.items() if m in row}
-                assert total_star.apply(m) == expect
+            # <X* e_m, e_d> = conj <X e_d, e_m>, over every d that reaches the window.
+            for x, x_terms in ((total, terms), (ab, ab_terms)):
+                x_star = x.adjoint()
+                rows = {d: apply_oracle(x_terms, d, s) for d in s.members_upto(top + depth)}
+                for m in window:
+                    expect = {d: row[m].conjugate() for d, row in rows.items() if m in row}
+                    assert x_star.apply(m) == expect
 
 
 @pytest.mark.parametrize("gens", [(3, 7), (11, 13), (31, 37)])
