@@ -23,8 +23,8 @@ from .numeric import laurent_sup_norm, operator_norm, truncate
 from .checks import SUITE_NAMES, morphism_report, run_suite
 
 SCHEMA = "sgalg-report/1"
-# Largest `sg norm --dim`: the truncation is a dense complex matrix, and one
-# SVD at this size takes seconds on one core.
+# Largest `sg norm --dim`: the truncation and its Gram matrix are dense, and
+# the Gram eigenvalues at this size take seconds on one core.
 MAX_DIM = 2048
 # Largest membership sieve, min*max of a generator list: the semigroup is
 # built by shifting an integer bitmask of that many bits.

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from sgalg.scalars import ONE, ZERO
@@ -123,3 +124,18 @@ def dense_monomial_kernel(pts):
 @pytest.fixture
 def dense_kernel():
     return dense_nullspace, dense_monomial_kernel
+
+
+def dense_truncate(a, n):
+    """numeric.truncate's reference: the complex128 compression built entry by
+    entry over the components and the legend, each entry complex(w.value(s_j))."""
+    s = a.semigroup
+    legend = tuple(s.element_at(i) for i in range(n))
+    position = {m: i for i, m in enumerate(legend)}
+    mat = np.zeros((n, n), dtype=np.complex128)
+    for c, w in a.components.items():
+        for j, sj in enumerate(legend):
+            i = position.get(sj + c)
+            if i is not None:
+                mat[i, j] = complex(w.value(sj))
+    return mat

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,14 @@ def test_norm(capsys):
     doc = json.loads(out)
     assert abs(doc["truncated_norm"] - 1.9988) < 1e-2
     assert abs(doc["symbol_sup_norm"] - 2.0) < 1e-3
+
+
+def test_norm_at_the_dimension_cap(capsys):
+    code, out = run_cli(capsys, "norm", "--gens", "1",
+                        "--expr", "T(1) + T*(1)", "--dim", str(cli.MAX_DIM))
+    assert code == 0
+    value = json.loads(out)["truncated_norm"]
+    assert abs(value - 2.0 * math.cos(math.pi / (cli.MAX_DIM + 1))) < 1e-12
 
 
 def test_grouplike(capsys):

@@ -1,10 +1,12 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import dense_truncate
 from sgalg.scalars import GaussianRational, I_UNIT, ONE
 from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import elementary, evaluate_word
@@ -65,6 +67,52 @@ def test_truncate_columns_match_action():
                 assert np.allclose(t.matrix[:, j], expect)
 
 
+def test_truncate_matches_dense_reference():
+    # Entry for entry equal to the loop-built complex matrix; float64 exactly
+    # when every weight value is an exact real.
+    rng = random.Random(71)
+    for s in (Z, S23, NumericalSemigroup([11, 13])):
+        elements = []
+        for _ in range(40):
+            x = FreeElement.zero(s)
+            for _ in range(rng.randint(1, 4)):
+                x = x + FreeElement.monomial(
+                    evaluate_word(s, tuple((rng.choice(s.generators), rng.random() < 0.5)
+                                           for _ in range(rng.randint(1, 4))))).scale(
+                    rng.choice((ONE, GaussianRational(-2), I_UNIT)))
+            elements.append(rep(x))
+        elements.append(gauge_twist(elements[0], 0.7))  # complex weights
+        for a in elements:
+            values = [v for w in a.components.values() for v in (w.tail, *w.exceptions.values())]
+            real = all(type(v) is GaussianRational and v.im == 0 for v in values)
+            for n in (1, 9, 40):
+                t = truncate(a, n)
+                assert t.matrix.dtype == (np.float64 if real else np.complex128)
+                assert (t.matrix == dense_truncate(a, n)).all()
+
+
+def _svd_norm(mat):
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def test_operator_norm_matches_svd():
+    rng = np.random.default_rng(73)
+    mats = [rng.standard_normal((n, n)) for n in (1, 7, 64, 256)]
+    mats += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+             for n in (1, 7, 64, 256)]
+    mats += [rng.standard_normal((30, 45)), rng.integers(-5, 6, size=(20, 20))]
+    for mat in mats:
+        sigma = _svd_norm(mat)
+        assert abs(operator_norm(mat) - sigma) <= 1e-13 * max(1.0, sigma)
+    for s in (Z, S23):
+        for f in default_norm_symbols():
+            largest = truncate(toeplitz_lift(f, s), 512).matrix
+            for n in (64, 128, 256, 512):
+                sigma = _svd_norm(largest[:n, :n])
+                assert abs(operator_norm(largest[:n, :n]) - sigma) <= 1e-13 * max(1.0, sigma)
+    assert operator_norm(np.zeros((5, 5))) == 0.0
+
+
 def test_operator_norm_examples():
     assert abs(operator_norm(truncate(OperatorElement.identity(S23), 16)) - 1.0) < 1e-9
     assert abs(operator_norm(truncate(from_monomial(elementary(S23, 2, False)), 24)) - 1.0) < 1e-9
@@ -98,6 +146,20 @@ def test_laurent_sup_norm_matches_scalar_loop():
                    for k in range(samples))
         value, _bound = laurent_sup_norm(f, samples)
         assert abs(value - loop) < 1e-14
+
+
+def test_laurent_sup_norm_off_symmetric_and_congruent_exponents():
+    # Generic phases, so the maximum is not the coefficient sum, and exponents
+    # congruent mod the sample count, whose coefficients must add.
+    f = LaurentPolynomial({0: GaussianRational(1, 1), 1: GaussianRational(-2),
+                           -3: GaussianRational(Fraction(1, 2), 3), 5: I_UNIT,
+                           17: ONE, 21: GaussianRational(0, -3)})
+    for samples in (16, 17, 64, 4096):
+        loop = max(abs(sum(complex(v) * cmath.exp(1j * c * (2.0 * math.pi * k / samples))
+                           for c, v in f.terms.items()))
+                   for k in range(samples))
+        value, _bound = laurent_sup_norm(f, samples)
+        assert abs(value - loop) < 1e-13
 
 
 def test_norm_convergence_small():
