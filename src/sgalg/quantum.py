@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .scalars import Combination, GaussianRational, ONE, ZERO
-from .semigroup import NumericalSemigroup, morphism_multipliers
+from .semigroup import NumericalSemigroup, bit_positions, morphism_multipliers
 from .operators import LaurentPolynomial, OperatorElement, from_monomial
 from .translations import (Letter, PartialTranslation, Word, compose, elementary,
                            evaluate_word)
@@ -224,15 +224,23 @@ def descent_witness(x: FreeElement, window: int
                     ) -> Optional[tuple[tuple[int, int], dict]]:
     """First member pair where the coproduct of a rep-zero element acts nonzero.
 
-    Returns ((c, d), values) for the lexicographically first witness, or None.
+    Returns ((c, d), values) for the lexicographically first witness up to
+    window, or None.  Only points some domain of x leaves out are tried: if
+    every domain holds c, row c acts at (c, d) as rep(x) = 0 acts on e_d,
+    index class by index class; by symmetry the same holds for d.
     """
     if not rep(x).is_zero:
         raise ValueError("descent probe requires a rep-zero element")
-    t = coproduct(x)
-    members = x.semigroup.members_upto(window)
-    for c in members:
-        for d in members:
-            vals = t.apply((c, d))
+    left_out = 0
+    for v in x.terms:
+        left_out |= v.domain.mask
+    points = bit_positions(left_out & ((2 << window) - 1))
+    for c in points:
+        row = [(v.index, v.domain.mask, a) for v, a in x.terms.items()
+               if not v.domain.mask >> c & 1]
+        for d in points:
+            vals = Combination.collect(None, (((c + i, d + i), a) for i, mask, a in row
+                                              if not mask >> d & 1)).terms
             if vals:
                 return (c, d), vals
     return None

@@ -248,6 +248,18 @@ def word_action(semigroup: NumericalSemigroup, word: Sequence[Letter],
     return x
 
 
+def word_action_mask(semigroup: NumericalSemigroup, word: Sequence[Letter],
+                     mask: int) -> tuple[int, int]:
+    """``word_action`` on every point of mask at once: the points kept, and the index."""
+    x, index = mask, 0
+    for a, starred in reversed(list(word)):
+        if starred:
+            x, index = (x >> a) & ~semigroup.gapmask, index - a
+        else:
+            x, index = x << a, index + a
+    return _pullback(x, index), index
+
+
 def word_offsets(semigroup: NumericalSemigroup, word: Sequence[Letter]) -> list[int]:
     """Offsets t such that the word's domain is {d : d + t is a member, all t}.
 

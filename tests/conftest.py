@@ -7,7 +7,7 @@ import pytest
 
 from sgalg.scalars import ONE, ZERO
 from sgalg.operators import from_monomial
-from sgalg.quantum import FreeElement, coproduct, distinct_monomials, group_like_detect
+from sgalg.quantum import FreeElement, coproduct, distinct_monomials, group_like_detect, rep
 
 
 def group_like_invariants_hold(semigroup, max_word_len, coefficients, max_terms,
@@ -124,6 +124,21 @@ def dense_monomial_kernel(pts):
 @pytest.fixture
 def dense_kernel():
     return dense_nullspace, dense_monomial_kernel
+
+
+def pairwise_descent_witness(x, window):
+    """quantum.descent_witness's reference: the whole coproduct applied at
+    every member pair up to window, rows first."""
+    if not rep(x).is_zero:
+        raise ValueError("descent probe requires a rep-zero element")
+    t = coproduct(x)
+    members = x.semigroup.members_upto(window)
+    for c in members:
+        for d in members:
+            vals = t.apply((c, d))
+            if vals:
+                return (c, d), vals
+    return None
 
 
 def dense_truncate(a, n):

@@ -253,8 +253,8 @@ def test_check_suite_exit_code(capsys):
     assert doc["pass"] and all(r["pass"] for r in doc["reports"])
 
 
-def test_inverse_suite_at_frobenius_1079(capsys):
-    code, out = run_cli(capsys, "check", "--gens", "31,37", "--suite", "inverse")
+def test_all_suites_at_frobenius_1079(capsys):
+    code, out = run_cli(capsys, "check", "--gens", "31,37", "--suite", "all", "--seed", "0")
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] and all(r["pass"] for r in doc["reports"])

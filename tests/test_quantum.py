@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import operator_coordinates
+from conftest import operator_coordinates, pairwise_descent_witness
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import elementary, evaluate_word, max_translation
@@ -249,6 +249,22 @@ def test_descent_witness_example():
     (pair, values) = found
     assert pair == (2, 3)
     assert values == {(2, 3): GaussianRational(-1)}
+
+
+@pytest.mark.parametrize("gens", [[2, 3], [3, 5], [3, 7], [3, 4, 5], [11, 13]])
+def test_descent_witness_matches_the_pairwise_reference(gens):
+    # Every rep-zero kernel vector at word length 6, over the window
+    # suite_descent uses: same pair, same values in the same order.
+    s = NumericalSemigroup(gens)
+    monos = sorted(distinct_monomials(s, 6), key=lambda v: v.sort_key)
+    window = max([10] + [v.domain.threshold + 2 for v in monos])
+    kernel = monomial_kernel(monos)
+    assert kernel
+    for vec in kernel:
+        x = FreeElement(s, {monos[p]: c for p, c in vec})
+        found, expected = descent_witness(x, window), pairwise_descent_witness(x, window)
+        assert expected is not None and found[0] == expected[0]
+        assert list(found[1].items()) == list(expected[1].items())
 
 
 def test_descent_requires_rep_zero():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
 from sgalg.translations import (EventualSet, PartialTranslation, compose,
                                 elementary, evaluate_word, max_translation,
-                                pt_from_offsets, word_action, word_offsets)
+                                pt_from_offsets, word_action, word_action_mask,
+                                word_offsets)
 
 S23 = NumericalSemigroup([2, 3])
 S35 = NumericalSemigroup([3, 5])
@@ -210,6 +211,35 @@ def test_word_action_oracle(s, data):
     v = evaluate_word(s, word)
     for d in s.members_upto(action_window(s, word)):
         assert v.apply(d) == word_action(s, word, d)
+
+
+def window_mask(s, window):
+    return sum(1 << d for d in s.members_upto(window))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((Z, S23) + LADDER), st.data())
+def test_word_action_mask_matches_the_pointwise_oracle(s, data):
+    word = data.draw(word_strategy(s))
+    window = data.draw(st.integers(0, action_window(s, word)))
+    survivors, index = word_action_mask(s, word, window_mask(s, window))
+    assert index == sum(-a if starred else a for a, starred in word)
+    for d in s.members_upto(window):
+        image = word_action(s, word, d)
+        assert (survivors >> d & 1) == (image is not None)
+        assert image is None or image == d + index
+    assert survivors < 2 << window
+
+
+@pytest.mark.parametrize("s", (Z, S23) + LADDER, ids=str)
+def test_word_action_mask_can_kill_the_window(s):
+    # k starred letters a send every point below k*a under zero.
+    for a in s.generators:
+        for k in range(1, 9):
+            word = ((a, True),) * k
+            window = k * a - 1
+            assert word_action_mask(s, word, window_mask(s, window)) == (0, -k * a)
+            assert all(word_action(s, word, d) is None for d in s.members_upto(window))
 
 
 @settings(max_examples=150)
