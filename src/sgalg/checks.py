@@ -228,8 +228,7 @@ def suite_inverse(s: NumericalSemigroup, seed: int = 0, n_words: int = 1000,
         via_u = u.apply(d)
         expect = v.apply(via_u) if via_u is not None else None
         return (compose(v, u).apply(d) == expect
-                and word_action_mask(s, w, points) == (points & ~v.domain.mask, v.index)
-                and evaluate_word(s, w) == v)
+                and word_action_mask(s, w, points) == (points & ~v.domain.mask, v.index))
 
     inverse_fail, index_fail, action_fail = _first_failures(
         (word_pairs(), inverse,
@@ -421,7 +420,7 @@ def suite_descent(s: NumericalSemigroup, seed: int = 0, window: Optional[int] = 
                   max_len: int = 6, corner_span: int = 4) -> list[dict]:
     rng = _rng("descent", s, seed)
     monos = sorted(distinct_monomials(s, max_len), key=_pt_sort_key)
-    kernel = monomial_kernel(monos)
+    kernel = list(monomial_kernel(monos))
     if window is None:
         # wide enough to reach past every domain threshold at this word length
         window = max([10] + [v.domain.threshold + 2 for v in monos])

@@ -9,6 +9,7 @@ forgetful map down to operators.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass
@@ -324,33 +325,54 @@ def first_words(start: Hashable, steps: Sequence[tuple[Letter, Callable]],
     return out
 
 
+def _numbering_step(v: PartialTranslation, pts: list, number: dict, move: dict):
+    """v put in front of numbered monomials: one compose per number, new products numbered."""
+    def step(i: int) -> int:
+        j = move.get(i)
+        if j is None:
+            u = compose(v, pts[i])
+            j = move[i] = number.setdefault(u, len(pts))
+            if j == len(pts):
+                pts.append(u)
+        return j
+    return step
+
+
+def _source_automaton(semigroup: NumericalSemigroup, max_len: int) -> tuple:
+    """The monomials short words reach, numbered (the identity 0, the rest in
+    first-word order); each reached number's first word; per letter, its moves
+    i -> j from every monomial reached by fewer than max_len letters."""
+    pts = [elementary(semigroup, 0, False)]
+    number, letters = {pts[0]: 0}, letters_of(semigroup)
+    moves: list[dict] = [{} for _ in letters]
+    steps = [(l, _numbering_step(elementary(semigroup, *l), pts, number, move))
+             for l, move in zip(letters, moves)]
+    return pts, first_words(0, steps, max_len), moves
+
+
 def distinct_monomials(semigroup: NumericalSemigroup, max_len: int
                        ) -> dict[PartialTranslation, Word]:
     """Canonical monomials reachable by short words, with their first words."""
-    steps = [(l, functools.partial(compose, elementary(semigroup, *l)))
-             for l in letters_of(semigroup)]
-    return first_words(elementary(semigroup, 0, False), steps, max_len)
+    pts, words, _ = _source_automaton(semigroup, max_len)
+    return {pts[i]: word for i, word in words.items()}
 
 
 def monomial_kernel(pts: Sequence[PartialTranslation]
-                    ) -> list[list[tuple[int, GaussianRational]]]:
+                    ) -> Iterator[list[tuple[int, GaussianRational]]]:
     """Kernel basis of the operator span of distinct monomials, exact.
 
     The span decomposes by index, so the kernel is assembled per index class
-    in increasing index order; the columns are the monomials' operator terms,
-    and each vector is its nonzero (position in pts, coefficient) pairs, in
-    position order.
+    in increasing index order, a class eliminated when the vectors before it
+    are used up; the columns are the monomials' operator terms, and each
+    vector is its nonzero (position in pts, coefficient) pairs, in position order.
     """
     by_index: dict[int, list[int]] = {}
     for i, v in enumerate(pts):
         by_index.setdefault(v.index, []).append(i)
-    kernel: list[list[tuple[int, GaussianRational]]] = []
-    for c in sorted(by_index):
-        positions = by_index[c]
+    for _, positions in sorted(by_index.items()):
         cols = [from_monomial(pts[i]).terms for i in positions]
-        kernel.extend([(p, x) for p, x in zip(positions, vec) if x]
-                      for vec in exact_nullspace(cols))
-    return kernel
+        for vec in exact_nullspace(cols):
+            yield [(p, x) for p, x in zip(positions, vec) if x]
 
 
 def exact_nullspace(columns: Sequence[dict]) -> list[list[GaussianRational]]:
@@ -410,10 +432,11 @@ class MorphismWitness:
 
 @functools.lru_cache(maxsize=1)
 def _falsifier_context(s1: NumericalSemigroup, max_word_len: int):
-    """Sorted source monomials, their first words and kernel; a scan reuses one."""
-    words = distinct_monomials(s1, max_word_len)
-    pts = sorted(words, key=_pt_sort_key)
-    return pts, words, monomial_kernel(pts)
+    """The source automaton, its reached numbers in monomial sort order, and a tee of
+    their kernel: each copy replays the classes eliminated so far, then eliminates on."""
+    pts, words, moves = _source_automaton(s1, max_word_len)
+    order = sorted(words, key=lambda i: pts[i].sort_key)
+    return words, moves, order, itertools.tee(monomial_kernel([pts[i] for i in order]), 1)[0]
 
 
 def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
@@ -429,32 +452,35 @@ def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
     """
     if m < 0 or m not in morphism_multipliers(s1, s2, m):
         raise ValueError(f"{m} is not a morphism multiplier here")
-    pts, words, kernel = _falsifier_context(s1, max_word_len)
+    words, moves, order, kernel = _falsifier_context(s1, max_word_len)
 
-    # Semigroup level: search the (source, image) pairs that words reach; a
-    # source monomial with two images is a witness.
-    def step(v, w):
-        return lambda pair: (compose(v, pair[0]), compose(w, pair[1]))
-
-    steps = [((a, st), step(elementary(s1, a, st), elementary(s2, m * a, st)))
-             for a, st in letters_of(s1)]
-    start = (elementary(s1, 0, False), elementary(s2, 0, False))
-    image_for: dict[PartialTranslation, PartialTranslation] = {}
-    for (v, img), word in first_words(start, steps, max_word_len).items():
-        if image_for.setdefault(v, img) != img:
-            return MorphismWitness("word", [(ONE, words[v])], [(ONE, word)], m)
+    # Semigroup level: search the (source, image) number pairs that words reach,
+    # images numbered as they appear; a source monomial with two images is a witness.
+    images = [elementary(s2, 0, False)]
+    image_number, steps = {images[0]: 0}, []
+    for (a, st), move in zip(letters_of(s1), moves):
+        to = _numbering_step(elementary(s2, m * a, st), images, image_number, {})
+        steps.append(((a, st), lambda pair, move=move, to=to: (move[pair[0]], to(pair[1]))))
+    image_for: dict[int, int] = {}
+    for (i, j), word in first_words((0, 0), steps, max_word_len).items():
+        if image_for.setdefault(i, j) != j:
+            return MorphismWitness("word", [(ONE, words[i])], [(ONE, word)], m)
 
     # Linear level: dependences among the source monomials must stay
     # dependences among the images.  With m = 0 every image is the identity,
     # and the widest-translation key makes each dependence's coefficients sum to 0.
     if m == 0:
         return None
-    for kappa in kernel:
-        image = FreeElement.collect(s2, ((image_for[pts[p]], c) for p, c in kappa))
-        if not rep(image).is_zero:
-            left = [(c, words[pts[p]]) for p, c in kappa if c.im != 0 or c.re > 0]
-            right = [(-c, words[pts[p]]) for p, c in kappa if c.im == 0 and c.re < 0]
-            return MorphismWitness("combination", left, right, m)
+    try:
+        for kappa in copy.copy(kernel):
+            image = FreeElement.collect(s2, ((images[image_for[order[p]]], c) for p, c in kappa))
+            if not rep(image).is_zero:
+                left = [(c, words[order[p]]) for p, c in kappa if c.im != 0 or c.re > 0]
+                right = [(-c, words[order[p]]) for p, c in kappa if c.im == 0 and c.re < 0]
+                return MorphismWitness("combination", left, right, m)
+    except BaseException:  # an elimination cut short would end every later copy early
+        _falsifier_context.cache_clear()
+        raise
     return None
 
 

@@ -1,5 +1,6 @@
 """Checks shared by several test modules."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 
 from sgalg.scalars import ONE, ZERO
 from sgalg.operators import from_monomial
-from sgalg.quantum import FreeElement, coproduct, distinct_monomials, group_like_detect, rep
+from sgalg.semigroup import morphism_multipliers
+from sgalg.translations import compose, elementary
+from sgalg.quantum import (FreeElement, MorphismWitness, coproduct, distinct_monomials,
+                           first_words, group_like_detect, letters_of, monomial_kernel, rep)
 
 
 def group_like_invariants_hold(semigroup, max_word_len, coefficients, max_terms,
@@ -154,3 +158,33 @@ def dense_truncate(a, n):
             if i is not None:
                 mat[i, j] = complex(w.value(sj))
     return mat
+
+
+def pairwise_morphism_falsify(s1, s2, m, max_word_len):
+    """quantum.quantum_morphism_falsify's reference: the first-word searches run
+    on the partial translations themselves, and the whole kernel is built first."""
+    if m < 0 or m not in morphism_multipliers(s1, s2, m):
+        raise ValueError(f"{m} is not a morphism multiplier here")
+    steps = [(l, functools.partial(compose, elementary(s1, *l))) for l in letters_of(s1)]
+    words = first_words(elementary(s1, 0, False), steps, max_word_len)
+    pts = sorted(words, key=lambda v: v.sort_key)
+
+    def step(v, w):
+        return lambda pair: (compose(v, pair[0]), compose(w, pair[1]))
+
+    steps = [((a, st), step(elementary(s1, a, st), elementary(s2, m * a, st)))
+             for a, st in letters_of(s1)]
+    start = (elementary(s1, 0, False), elementary(s2, 0, False))
+    image_for = {}
+    for (v, img), word in first_words(start, steps, max_word_len).items():
+        if image_for.setdefault(v, img) != img:
+            return MorphismWitness("word", [(ONE, words[v])], [(ONE, word)], m)
+    if m == 0:
+        return None
+    for kappa in list(monomial_kernel(pts)):
+        image = FreeElement.collect(s2, ((image_for[pts[p]], c) for p, c in kappa))
+        if not rep(image).is_zero:
+            left = [(c, words[pts[p]]) for p, c in kappa if c.im != 0 or c.re > 0]
+            right = [(-c, words[pts[p]]) for p, c in kappa if c.im == 0 and c.re < 0]
+            return MorphismWitness("combination", left, right, m)
+    return None

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import operator_coordinates, pairwise_descent_witness
+from conftest import (operator_coordinates, pairwise_descent_witness,
+                      pairwise_morphism_falsify)
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
-from sgalg.semigroup import NumericalSemigroup
+from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
 from sgalg.translations import elementary, evaluate_word, max_translation
 from sgalg.operators import LaurentPolynomial, OperatorElement, from_monomial
 from sgalg import quantum
@@ -258,7 +259,7 @@ def test_descent_witness_matches_the_pairwise_reference(gens):
     s = NumericalSemigroup(gens)
     monos = sorted(distinct_monomials(s, 6), key=lambda v: v.sort_key)
     window = max([10] + [v.domain.threshold + 2 for v in monos])
-    kernel = monomial_kernel(monos)
+    kernel = list(monomial_kernel(monos))
     assert kernel
     for vec in kernel:
         x = FreeElement(s, {monos[p]: c for p, c in vec})
@@ -332,7 +333,7 @@ def test_sparse_kernel_matches_dense_reference(dense_kernel, gens, max_len):
     s = NumericalSemigroup(gens)
     pts = sorted(distinct_monomials(s, max_len), key=lambda v: v.sort_key)
     expanded = []
-    for vec in monomial_kernel(pts):
+    for vec in list(monomial_kernel(pts)):
         positions = [p for p, _ in vec]
         assert all(p < q for p, q in zip(positions, positions[1:]))
         assert all(not c.is_zero for _, c in vec)
@@ -403,6 +404,67 @@ def test_falsifier_word_witness_from_three_generators():
     assert distinct_monomials(s345, 3)[source] == left
     # m = 1 leaves the letters as they are
     assert evaluate_word(S23, left) != evaluate_word(S23, right)
+
+
+def test_falsifier_matches_the_pairwise_reference():
+    # Every admissible multiplier up to 6 at every length up to 5: the same
+    # witness, spelled with the same words, as the search on translations.
+    kinds = set()
+    for src in ([1], [2, 3], [3, 5], [3, 7], [3, 4, 5]):
+        s1 = NumericalSemigroup(src)
+        for tgt in ([1], [2, 3], [3, 5]):
+            s2 = NumericalSemigroup(tgt)
+            for m in morphism_multipliers(s1, s2, 6):
+                for length in range(1, 6):
+                    found = quantum_morphism_falsify(s1, s2, m, length)
+                    expected = pairwise_morphism_falsify(s1, s2, m, length)
+                    assert (found is None) == (expected is None)
+                    if found is not None:
+                        assert ((found.kind, found.left, found.right, found.multiplier)
+                                == (expected.kind, expected.left, expected.right,
+                                    expected.multiplier))
+                        kinds.add((tuple(src), tuple(tgt), found.kind))
+    assert ((3, 4, 5), (2, 3), "word") in kinds
+
+
+def test_falsifier_eliminates_only_the_classes_it_reads(monkeypatch):
+    # A refuted scan stops at its witness, so later index classes are never
+    # eliminated; a second multiplier over the same context eliminates nothing
+    # that the first did not.
+    S35 = NumericalSemigroup([3, 5])
+    eliminated = []
+
+    def counting(columns):
+        eliminated.append(len(columns))
+        return exact_nullspace(columns)
+
+    quantum._falsifier_context.cache_clear()
+    monkeypatch.setattr(quantum, "exact_nullspace", counting)
+    try:
+        classes = {v.index for v in distinct_monomials(S35, 7)}
+        assert quantum_morphism_falsify(S35, Z, 1, 7).kind == "combination"
+        first = len(eliminated)
+        assert 0 < first < len(classes)
+        assert quantum_morphism_falsify(S35, Z, 2, 7).kind == "combination"
+        assert len(eliminated) == first
+    finally:
+        quantum._falsifier_context.cache_clear()
+
+
+def test_falsifier_does_not_replay_an_interrupted_elimination(monkeypatch):
+    expected = quantum_morphism_falsify(S23, Z, 1, 6)
+    assert expected.kind == "combination"
+
+    def interrupted(columns):
+        raise RuntimeError("interrupted")
+
+    quantum._falsifier_context.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(quantum, "exact_nullspace", interrupted)
+        with pytest.raises(RuntimeError):
+            quantum_morphism_falsify(S23, Z, 1, 6)
+    found = quantum_morphism_falsify(S23, Z, 1, 6)
+    assert found is not None and (found.left, found.right) == (expected.left, expected.right)
 
 
 def test_falsifier_trivial_multiplier_consistent():
