@@ -2,8 +2,8 @@
 
 Operator identities are never tested on truncations (corner effects);
 truncated matrices serve norm estimation only.  Gauge twists and Fourier
-projections are ``OperatorElement``s with complex weights, so they use the
-exact layer's sums, products and adjoints.
+projections are ``OperatorElement``s with complex weights: a twist scales
+each term by its index's phase, a projection by its index's phase sum.
 """
 
 from __future__ import annotations
@@ -114,22 +114,23 @@ def norm_convergence(f: LaurentPolynomial, semigroup: NumericalSemigroup,
 def gauge_twist(a: OperatorElement, theta: float) -> OperatorElement:
     """Multiply every index-c key by exp(i*c*theta); complex coefficients."""
     phases = {c: cmath.exp(1j * c * theta) for c in a.indices()}
-    return OperatorElement._new(a.semigroup,
-                                {k: phases[k[0]] * v for k, v in a.terms.items()})
+    return OperatorElement._new(a.semigroup, {k: phases[k[0]] * v for k, v in a.terms.items()})
 
 
 def fourier_project(a: OperatorElement, target_index: int, samples: int) -> OperatorElement:
-    """Average of gauge twists against one character; recovers one grade."""
-    span = max((abs(c) for c in a.indices()), default=0)
+    """Average of gauge twists against one character; recovers one grade.
+
+    Each index-c term is scaled by one phase sum: cost terms + samples x indices."""
+    indices = a.indices()
+    span = max((abs(c) for c in indices), default=0)
     if samples <= 2 * span:
         raise ValueError(f"need more than {2 * span} samples for index span {span}")
-    acc = OperatorElement.zero(a.semigroup)
-    base = gauge_twist(a, 0.0)  # the same weights as complex numbers, converted once
-    for k in range(samples):
-        theta = 2.0 * math.pi * k / samples
-        phase = cmath.exp(-1j * target_index * theta) / samples
-        acc = acc + gauge_twist(base, theta).scale(phase)
-    return acc
+    thetas = [2.0 * math.pi * k / samples for k in range(samples)]
+    character = [cmath.exp(-1j * target_index * theta) / samples for theta in thetas]
+    phase_sums = {c: sum(cmath.exp(1j * c * theta) * w for theta, w in zip(thetas, character))
+                  for c in indices}
+    return OperatorElement._new(a.semigroup, {k: x for k, v in a.terms.items()
+                                              if (x := phase_sums[k[0]] * v)})
 
 
 def shift_example_check() -> dict:

@@ -299,12 +299,17 @@ def _parts(a: OperatorElement) -> tuple[list, list]:
     return tails, units
 
 
+def monomial_terms(v: PartialTranslation, coeff) -> list:
+    """The terms of coeff times from_monomial(v), its units first."""
+    c = v.index
+    units = bit_positions(v.domain.mask & ~_leaving(v.semigroup, c))
+    neg = -coeff if units else None
+    return [((c, d), neg) for d in units] + [((c, None), coeff)]
+
+
 def from_monomial(v: PartialTranslation) -> OperatorElement:
     """M_c minus the units at the members v's domain leaves out beyond M_c's."""
-    s, c = v.semigroup, v.index
-    terms = {(c, d): -ONE for d in bit_positions(v.domain.mask & ~_leaving(s, c))}
-    terms[(c, None)] = ONE
-    return OperatorElement._new(s, terms)
+    return OperatorElement._new(v.semigroup, dict(monomial_terms(v, ONE)))
 
 
 def toeplitz_lift(f: LaurentPolynomial, semigroup: NumericalSemigroup) -> OperatorElement:

@@ -12,18 +12,18 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .scalars import Combination, GaussianRational, ONE, ZERO
 from .semigroup import NumericalSemigroup, bit_positions, morphism_multipliers
-from .operators import LaurentPolynomial, OperatorElement, from_monomial
+from .operators import LaurentPolynomial, OperatorElement, from_monomial, monomial_terms
 from .translations import (Letter, PartialTranslation, Word, compose, elementary,
                            evaluate_word)
 
 
-def _pt_sort_key(v: PartialTranslation):
-    return v.sort_key
+_pt_sort_key = operator.attrgetter("sort_key")
 
 
 class FreeElement(Combination):
@@ -107,8 +107,8 @@ class FreeTensor(Combination):
 
 def rep(x: FreeElement) -> OperatorElement:
     """Forgetful map to the operator algebra; not injective when gaps exist."""
-    return OperatorElement.collect(x.semigroup, ((k, c * u) for v, c in x.terms.items()
-                                                 for k, u in from_monomial(v).terms.items()))
+    return OperatorElement.collect(x.semigroup, (p for v, c in x.terms.items()
+                                                 for p in monomial_terms(v, c)))
 
 
 def coproduct(x: FreeElement) -> FreeTensor:
@@ -126,7 +126,11 @@ def tensor_of(x: FreeElement, y: FreeElement) -> FreeTensor:
 
 
 def tensor_multiply(s: FreeTensor, t: FreeTensor) -> FreeTensor:
-    return s._product(t, lambda p, q: (compose(p[0], q[0]), compose(p[1], q[1])))
+    def pair_product(p, q):
+        u = compose(p[0], q[0])  # once for two diagonal pairs, as coproduct builds them
+        return (u, u) if p[1] is p[0] and q[1] is q[0] else (u, compose(p[1], q[1]))
+
+    return s._product(t, pair_product)
 
 
 def tensor_adjoint(s: FreeTensor) -> FreeTensor:

@@ -75,7 +75,7 @@ class GaussianRational:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = _exact(other)
+        o = other if type(other) is GaussianRational else _exact(other)
         if o is None:
             return complex(self) + other if isinstance(other, complex) else NotImplemented
         if not self._a and not self._b:
@@ -103,7 +103,7 @@ class GaussianRational:
         return _gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = _exact(other)
+        o = other if type(other) is GaussianRational else _exact(other)
         if o is None:
             return complex(self) * other if isinstance(other, complex) else NotImplemented
         a1, b1, d1, a2, b2, d2 = self._a, self._b, self._d, o._a, o._b, o._d
@@ -196,38 +196,46 @@ ONE = GaussianRational(1)
 I_UNIT = GaussianRational(0, 1)
 
 
+def _clean(terms: dict) -> dict:
+    """terms without zero coefficients, ints and Fractions made exact."""
+    return {k: c if type(c) is GaussianRational else as_scalar(c)
+            for k, c in terms.items() if c}
+
+
 class Combination:
     """Finite linear combination of basis keys, optionally over a semigroup.
 
-    Coefficients pass through ``as_scalar`` and zeros are dropped, so two
-    combinations are equal exactly when their term dicts are.  Binary
-    operations require operands of one kind over one semigroup.
+    Every coefficient is a nonzero ``GaussianRational`` or ``complex`` (the
+    public constructor and ``collect`` coerce and drop zeros, ``_new`` takes
+    a clean dict as it is), so two combinations are equal exactly when their
+    term dicts are.  Binary operations require operands of one kind over one
+    semigroup.
     """
 
     __slots__ = ("semigroup", "terms")
 
     def __init__(self, semigroup, terms: dict):
-        self.semigroup = semigroup
-        self.terms = {k: c if type(c) is GaussianRational else as_scalar(c)
-                      for k, c in terms.items() if c}
+        self.semigroup, self.terms = semigroup, _clean(terms)
 
     @classmethod
     def _new(cls, semigroup, terms: dict):
-        # Bypasses a subclass's own constructor signature.
+        """terms, clean already, kept as they are: no subclass constructor or check runs."""
         out = cls.__new__(cls)
-        Combination.__init__(out, semigroup, terms)
+        out.semigroup, out.terms = semigroup, terms
         return out
 
     @classmethod
     def collect(cls, semigroup, pairs):
         """The combination of (key, coefficient) pairs, repeated keys summed."""
         out = {}
+        get = out.get
         for k, c in pairs:
-            out[k] = out[k] + c if k in out else c
-        return cls._new(semigroup, out)
+            prev = get(k)
+            out[k] = c if prev is None else prev + c
+        return cls._new(semigroup, _clean(out))
 
     def _same(self, other) -> None:
-        if self.semigroup != other.semigroup:
+        if self.semigroup is not other.semigroup and self.semigroup != other.semigroup:
             raise ValueError("operands over different semigroups")
 
     def _product(self, other, key_product, cls=None):
@@ -260,7 +268,7 @@ class Combination:
     def scale(self, scalar):
         scalar = as_scalar(scalar)
         return self._new(self.semigroup,
-                         {k: scalar * c for k, c in self.terms.items()})
+                         {k: v for k, c in self.terms.items() if (v := scalar * c)})
 
     def __mul__(self, other):
         try:

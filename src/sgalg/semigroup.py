@@ -7,27 +7,33 @@ integers and its complement in them is finite.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 from math import gcd
 
 _BIT_FLAGS = str.maketrans("01", "\0\1")
 
 
+def _flags(mask: int) -> bytes:
+    """Byte n is 1 when bit n of a non-negative integer is set, else 0, up to its top bit."""
+    return bin(mask)[:1:-1].translate(_BIT_FLAGS).encode()
+
+
 def bit_positions(mask: int) -> list[int]:
     """Set bits of a non-negative integer, increasing, in one linear pass."""
-    flags = bin(mask)[:1:-1].translate(_BIT_FLAGS).encode()
-    return list(compress(range(len(flags)), flags))
+    return list(compress(count(), _flags(mask)))
 
 
 class NumericalSemigroup:
     """Finitely generated, gcd-1 subsemigroup of the non-negative integers.
 
-    Bit n of ``gapmask`` is set exactly for the gaps n.  ``_letters`` keeps
-    the translations ``translations.elementary`` built over this semigroup.
+    Bit n of ``gapmask`` is set exactly for the gaps n, and byte n of
+    ``_gapflags`` is 1 exactly for them, for O(1) membership; ``gaps`` and
+    the members below the Frobenius number are listed when asked for.
+    ``_letters`` keeps the translations ``translations.elementary`` built
+    over this semigroup.
     """
 
-    __slots__ = ("generators", "gaps", "gapmask", "frobenius", "_gapset", "_small",
-                 "_letters")
+    __slots__ = ("generators", "gapmask", "frobenius", "_gapflags", "_small", "_letters")
 
     def __init__(self, generators):
         gens = sorted(set(int(g) for g in generators))
@@ -61,39 +67,38 @@ class NumericalSemigroup:
                 step <<= 1
         self.generators = tuple(minimal)
         self.gapmask = window & ~reach
-        self.gaps = tuple(bit_positions(self.gapmask))
         self.frobenius = self.gapmask.bit_length() - 1
-        self._gapset = frozenset(self.gaps)
-        self._small = tuple(bit_positions(reach & ((1 << (self.frobenius + 1)) - 1)))
+        self._gapflags = _flags(self.gapmask)
+        self._small = None
         self._letters = {}
 
     # -- membership and enumeration ---------------------------------------
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        return tuple(bit_positions(self.gapmask))
 
     def contains(self, n: int) -> bool:
         if n < 0:
             return False
         if n > self.frobenius:
             return True
-        return n not in self._gapset
+        return not self._gapflags[n]
 
-    def __contains__(self, n: int) -> bool:
-        return self.contains(n)
+    __contains__ = contains
 
     def element_at(self, i: int) -> int:
         """The i-th smallest member, 0-indexed."""
         if i < 0:
             raise ValueError("index must be non-negative")
-        if i < len(self._small):
-            return self._small[i]
-        return self.frobenius + 1 + (i - len(self._small))
+        if self._small is None:  # the members below the Frobenius number, kept on first use
+            self._small = tuple(self.members_upto(self.frobenius))
+        n = len(self._small)
+        return self._small[i] if i < n else self.frobenius + 1 + (i - n)
 
     def members_upto(self, bound: int) -> list[int]:
         """All members m with m <= bound, increasing."""
-        if bound < 0:
-            return []
-        out = [m for m in self._small if m <= bound]
-        out.extend(range(self.frobenius + 1, bound + 1))
-        return out
+        return bit_positions(((1 << (bound + 1)) - 1) & ~self.gapmask) if bound >= 0 else []
 
     def first_member_at_least(self, n: int) -> int:
         m = max(n, 0)
@@ -113,7 +118,7 @@ class NumericalSemigroup:
 
     def is_totally_ordered(self) -> bool:
         """Whether every pair of members is comparable, i.e. there are no gaps."""
-        return not self.gaps
+        return not self.gapmask
 
     # -- value semantics ---------------------------------------------------
 

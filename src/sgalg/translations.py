@@ -129,14 +129,6 @@ class PartialTranslation:
         self.index = index
         self.domain = domain
 
-    @classmethod
-    def _trusted(cls, semigroup: NumericalSemigroup, index: int,
-                 domain: EventualSet) -> "PartialTranslation":
-        """The translation, without the checks: for results that keep the invariant."""
-        self = cls.__new__(cls)
-        self.semigroup, self.index, self.domain = semigroup, index, domain
-        return self
-
     @property
     def sort_key(self):
         return (self.index, self.domain.threshold, self.domain.members_below)
@@ -199,15 +191,19 @@ def elementary(semigroup: NumericalSemigroup, a: int, starred: bool) -> PartialT
 def compose(v: PartialTranslation, w: PartialTranslation) -> PartialTranslation:
     """Operator product v∘w: w acts first.  Indices add.
 
-    w sends the result's domain into v's, so the invariant holds unchecked.
+    w sends the result's domain into v's, so the invariant holds unchecked
+    and the result is built in place.
     """
-    if v.semigroup != w.semigroup:
-        raise ValueError("cannot compose translations over different semigroups")
     s = v.semigroup
+    if w.semigroup is not s and w.semigroup != s:
+        raise ValueError("cannot compose translations over different semigroups")
+    domain = EventualSet.__new__(EventualSet)
+    domain.semigroup, domain._below = s, None
     # d is left out when w leaves it out or v leaves out d + index(w).
-    mask = (w.domain.mask | _pullback(v.domain.mask, w.index)) & ~s.gapmask
-    return PartialTranslation._trusted(s, v.index + w.index,
-                                       EventualSet.from_mask(s, mask))
+    domain.mask = (w.domain.mask | _pullback(v.domain.mask, w.index)) & ~s.gapmask
+    out = PartialTranslation.__new__(PartialTranslation)
+    out.semigroup, out.index, out.domain = s, v.index + w.index, domain
+    return out
 
 
 def max_translation(semigroup: NumericalSemigroup, c: int) -> PartialTranslation:

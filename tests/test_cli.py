@@ -89,10 +89,12 @@ LARGE_F_EXPR = "T(31)*T*(37)*T(31) - 2*T*(31)*T(37) + 1/2*I"
     ("split_s3137", 0, ("split", "--gens", "31,37", "--expr", LARGE_F_EXPR)),
     ("symbol_s1113_seed0", 0, ("check", "--suite", "symbol", "--gens", "11,13")),
     ("fourier_s3137_seed0", 0, ("check", "--suite", "fourier", "--gens", "31,37")),
-])
+] + [(f"{suite}_s37_seed0", 0, ("check", "--gens", "3,7", "--suite", suite, "--seed", "0"))
+     for suite in ("inverse", "grading", "weakhopf", "haar", "coideal")])
 def test_falsifier_and_descent_bytes(capsys, name, code, argv):
-    # Every word and combination witness, every kernel dimension, and the
-    # operator reports and suites at F = 119 and F = 1079, byte for byte.
+    # Every word and combination witness, every kernel dimension, the
+    # operator reports and suites at F = 119 and F = 1079, and the suites over
+    # the exact layer's sums and products at F = 11, byte for byte.
     expected = (Path(__file__).parent / "reports" / f"{name}.out").read_text()
     assert run_cli(capsys, *argv) == (code, expected)
 

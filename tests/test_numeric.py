@@ -12,6 +12,7 @@ from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import elementary, evaluate_word
 from sgalg.operators import LaurentPolynomial, OperatorElement, from_monomial, toeplitz_lift
 from sgalg.quantum import FreeElement, rep
+from sgalg import checks
 from sgalg.checks import default_norm_symbols
 from sgalg.numeric import (fourier_project, gauge_twist, laurent_sup_norm,
                            norm_convergence, operator_norm, shift_example_check,
@@ -259,6 +260,30 @@ def test_fourier_recovers_all_grades():
             span = max((abs(c) for c in a.indices()), default=0)
             for c in a.indices():
                 assert fourier_project(a, c, 2 * span + 6).deviation_from(a.grade(c)) < 1e-9
+
+
+def sample_by_sample_projection(a, target_index, samples):
+    """fourier_project's reference: the running sum of one full gauge twist per sample."""
+    acc = OperatorElement.zero(a.semigroup)
+    base = gauge_twist(a, 0.0)  # the same weights as complex numbers, converted once
+    for k in range(samples):
+        theta = 2.0 * math.pi * k / samples
+        phase = cmath.exp(-1j * target_index * theta) / samples
+        acc = acc + gauge_twist(base, theta).scale(phase)
+    return acc
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (3, 7), (31, 37)])
+def test_fourier_project_matches_sample_by_sample_sum(gens):
+    # The fourier suite's corpus and grades, each projected both ways.
+    s = NumericalSemigroup(gens)
+    rng = checks._rng("fourier", s, 0)
+    corpus = [checks.random_operator(rng, s, max_terms=4, max_word_len=5) for _ in range(25)]
+    for a in corpus:
+        span = max((abs(c) for c in a.indices()), default=0)
+        for c in a.indices() + (span + 1,):
+            fast = fourier_project(a, c, 2 * span + 8)
+            assert fast.deviation_from(sample_by_sample_projection(a, c, 2 * span + 8)) <= 1e-12
 
 
 def test_shift_example_check():

@@ -7,9 +7,10 @@ from conftest import (operator_coordinates, pairwise_descent_witness,
                       pairwise_morphism_falsify)
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
-from sgalg.translations import elementary, evaluate_word, max_translation
+from sgalg.translations import compose, elementary, evaluate_word, max_translation
 from sgalg.operators import LaurentPolynomial, OperatorElement, from_monomial
-from sgalg import quantum
+from sgalg import checks, quantum
+from sgalg.numeric import gauge_twist
 from sgalg.quantum import (FreeElement, FreeTensor, coaction_fixed,
                            coideal_decomposition, coproduct, corner_diagram_check,
                            delta_coaction, descent_witness, distinct_monomials,
@@ -45,6 +46,19 @@ def test_rep_examples():
         assert not rep(FreeElement.monomial(v)).is_zero
 
 
+@pytest.mark.parametrize("gens", [(2, 3), (3, 5), (31, 37)])
+def test_rep_is_the_sum_of_monomial_lifts(gens):
+    s = NumericalSemigroup(gens)
+    rng = random.Random(f"rep:{gens}")
+    for _ in range(40):
+        x = checks.random_free_element(rng, s, max_terms=6, max_word_len=6)
+        for y in (x, x.scale(0.5 - 0.25j)):
+            lifts = OperatorElement.zero(s)
+            for v, c in y.terms.items():
+                lifts = lifts + from_monomial(v).scale(c)
+            assert rep(y) == lifts
+
+
 # -- linear combinations -----------------------------------------------------------
 
 
@@ -53,6 +67,46 @@ def random_terms(rng, s, count):
                                     for _ in range(rng.randint(1, 4)))),
              rng.choice((ONE, GaussianRational(-2), I_UNIT, GaussianRational(1, -1))))
             for _ in range(count)]
+
+
+def is_clean(x) -> bool:
+    """Only nonzero exact or complex coefficients, and equal to the public constructor's copy."""
+    rebuilt = (LaurentPolynomial(dict(x.terms)) if type(x) is LaurentPolynomial
+               else type(x)(x.semigroup, dict(x.terms)))
+    return all(type(c) in (GaussianRational, complex) and c for c in x.terms.values()) \
+        and rebuilt == x
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (3, 7)])
+def test_results_stored_without_coercion_are_clean(gens):
+    # Results built by _new, which stores its dict as it is.
+    s = NumericalSemigroup(gens)
+    rng = random.Random(f"clean:{gens}")
+    g = s.generators[0]
+    assert OperatorElement.collect(s, [((g, None), ONE), ((g, None), -ONE), ((0, None), 2),
+                                       ((g, 0), Fraction(1, 2)), ((g, 0), Fraction(-1, 2)),
+                                       ((-g, None), 0.5j), ((-g, None), -0.5j)]).terms \
+        == {(0, None): GaussianRational(2)}
+    for _ in range(10):
+        x, y = (checks.random_free_element(rng, s) for _ in range(2))
+        a, b = rep(x), rep(y)
+        twisted = gauge_twist(a, 0.7)
+        symbol, ideal = a.split()
+        results = [x + y - x, x * y, x.scale(0), x.scale(Fraction(2, 3)), x.scale(0.5 - 1j),
+                   -x, a * b, a - a, a.scale(0), a.scale(Fraction(-1, 3)), a.scale(1j), -a,
+                   a.adjoint(), a.conjugate(g), symbol, ideal, symbol * b.symbol(), twisted,
+                   twisted * b, twisted.adjoint(), -twisted, twisted.scale(Fraction(1, 2)),
+                   tensor_multiply(coproduct(x), coproduct(y))]
+        results += [a.grade(c) for c in a.indices() + (1 + max(map(abs, a.indices()), default=0),)]
+        if x != y:
+            s_, t = tensor_of(x, y), tensor_of(y, x)
+            product = tensor_multiply(s_, t)
+            assert product == FreeTensor.collect(s, (
+                ((compose(p0, q0), compose(p1, q1)), c * d)
+                for (p0, p1), c in s_.terms.items() for (q0, q1), d in t.terms.items()))
+            results.append(product)
+        for r in results:
+            assert is_clean(r), r
 
 
 def test_operands_over_different_semigroups_are_refused():
