@@ -9,7 +9,11 @@
 
 Products are in operator order: the left factor acts last.  ``T*(a)`` is the
 same as ``T(a)^*``.  The scalar lookahead is greedy: ``1/2 + 3i`` is one
-scalar atom, which keeps print/parse round trips exact.
+scalar atom.  Counterexamples rely on this grammar: ``checks._render`` spells
+words that ``sg eval`` reads back and ``lin(re±im i*f)`` coefficients that
+``sg convolve`` reads back.  Elements are built in the free algebra while
+parsing.  A syntax error is reported before a generator that is not a
+member, and the first such generator in the text is the one named.
 
 Functionals share the lexer and the scalar rules:
 
@@ -25,10 +29,9 @@ at 2*pi/3.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .scalars import GaussianRational
 from .semigroup import NumericalSemigroup
@@ -45,60 +48,6 @@ class ExprError(ValueError):
                          else f"{message} (at byte {offset})")
         self.offset = offset
         self.message = message
-
-
-# -- AST -----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Scalar:
-    value: GaussianRational
-
-
-@dataclass(frozen=True)
-class Ident:
-    pass
-
-
-@dataclass(frozen=True)
-class Gen:
-    a: int
-
-
-@dataclass(frozen=True)
-class GenStar:
-    a: int
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Star:
-    inner: "Expression"
-
-
-@dataclass(frozen=True)
-class Paren:
-    inner: "Expression"
-
-
-Expression = Union[Scalar, Ident, Gen, GenStar, Add, Sub, Mul, Star, Paren]
 
 
 # -- lexer -----------------------------------------------------------------------
@@ -161,10 +110,15 @@ MAX_NESTING = 200
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over one input, evaluated in the free algebra as it goes."""
+
+    def __init__(self, text: str, semigroup: NumericalSemigroup):
+        self.tokens = _tokenize(text)
+        self.semigroup = semigroup
         self.pos = 0
         self.depth = 0
+        # First generator outside the semigroup, reported once the input parsed.
+        self.outsider: Optional[int] = None
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -188,41 +142,45 @@ class _Parser:
         self.take("RPAREN")
         self.depth -= 1
 
-    def finish(self, node):
+    def finish(self, value):
         tok = self.peek()
         if tok.kind != "END":
             raise ExprError(f"trailing input {tok.text!r}", tok.offset)
-        return node
+        if self.outsider is not None:
+            raise ExprError(f"generator {self.outsider} is not in the semigroup")
+        return value
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
+    def parse_expr(self) -> FreeElement:
+        value = self.parse_term()
         while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.take(self.peek().kind)
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op.kind == "PLUS" else Sub(node, rhs)
-        return node
+            if self.take(self.peek().kind).kind == "PLUS":
+                value = value + self.parse_term()
+            else:
+                value = value - self.parse_term()
+        return value
 
-    def parse_term(self) -> Expression:
-        node = self.parse_factor()
+    def parse_term(self) -> FreeElement:
+        value = self.parse_factor()
         while self.peek().kind == "STAR":
             self.take("STAR")
-            node = Mul(node, self.parse_factor())
-        return node
+            value = value * self.parse_factor()
+        return value
 
-    def parse_factor(self) -> Expression:
-        node = self.parse_atom()
+    def parse_factor(self) -> FreeElement:
+        value = self.parse_atom()
         if self.peek().kind == "STARSUF":
             self.take("STARSUF")
-            node = Star(node)
-        return node
+            value = value.star()
+        return value
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self) -> FreeElement:
         tok = self.peek()
+        s = self.semigroup
         if tok.kind == "INT":
-            return Scalar(self.parse_rational_complex())
+            return FreeElement.identity(s).scale(self.parse_rational_complex())
         if tok.kind == "IDENT" and tok.text == "I":
             self.take("IDENT")
-            return Ident()
+            return FreeElement.identity(s)
         if tok.kind == "IDENT" and tok.text == "T":
             self.take("IDENT")
             starred = False
@@ -232,12 +190,16 @@ class _Parser:
             self.take("LPAREN")
             a = int(self.take("INT").text)
             self.take("RPAREN")
-            return GenStar(a) if starred else Gen(a)
+            if s.contains(a):
+                return FreeElement.monomial(elementary(s, a, starred))
+            if self.outsider is None:
+                self.outsider = a
+            return FreeElement.zero(s)  # a stand-in: finish raises
         if tok.kind == "LPAREN":
             self.open_paren()
-            inner = self.parse_expr()
+            value = self.parse_expr()
             self.close_paren()
-            return Paren(inner)
+            return value
         raise ExprError(f"expected an atom, found {tok.text or 'end of input'}",
                         tok.offset)
 
@@ -277,7 +239,7 @@ class _Parser:
             return -1
         return 1
 
-    def parse_functional(self, semigroup: NumericalSemigroup) -> fn.Functional:
+    def parse_functional(self) -> fn.Functional:
         tok = self.peek()
         name = tok.text if tok.kind == "IDENT" else None
         if name == "haar":
@@ -290,7 +252,7 @@ class _Parser:
             self.take("COMMA")
             b = self.take_sign() * int(self.take("INT").text)
             self.take("RBRACK")
-            if not semigroup.contains(a) or not semigroup.contains(b):
+            if not self.semigroup.contains(a) or not self.semigroup.contains(b):
                 raise ExprError(f"matrix coefficient against non-members ({a},{b})")
             return fn.MatrixCoeff(a, b)
         if name not in ("pm", "conv", "lin"):
@@ -300,9 +262,9 @@ class _Parser:
         if name == "pm":
             node = fn.point_mass(self.take_sign() * self.parse_rat())
         elif name == "conv":
-            left = self.parse_functional(semigroup)
+            left = self.parse_functional()
             self.take("COMMA")
-            node = fn.convolve(left, self.parse_functional(semigroup))
+            node = fn.convolve(left, self.parse_functional())
         else:
             terms = []
             sign = 1
@@ -311,7 +273,7 @@ class _Parser:
                 z = self.parse_rational_complex()
                 self.take("STAR")
                 coeff = GaussianRational(real_sign * z.re, z.im) * sign
-                terms.append((coeff, self.parse_functional(semigroup)))
+                terms.append((coeff, self.parse_functional()))
                 if self.peek().kind not in ("PLUS", "MINUS"):
                     break
                 sign = 1 if self.take(self.peek().kind).kind == "PLUS" else -1
@@ -320,96 +282,11 @@ class _Parser:
         return node
 
 
-def parse(text: str) -> Expression:
-    p = _Parser(_tokenize(text))
+def parse_element(text: str, semigroup: NumericalSemigroup) -> FreeElement:
+    p = _Parser(text, semigroup)
     return p.finish(p.parse_expr())
 
 
-# -- printer -----------------------------------------------------------------------
-
-
-def print_expr(node: Expression) -> str:
-    if isinstance(node, Scalar):
-        v = node.value
-        if v.re < 0:
-            raise ValueError("negative real scalar literals are not printable; "
-                             "wrap in a subtraction")
-        if v.im == 0:
-            return _rat_str(v.re)
-        sign = "+" if v.im > 0 else "-"
-        return f"{_rat_str(v.re)} {sign} {_rat_str(abs(v.im))}i"
-    if isinstance(node, Ident):
-        return "I"
-    if isinstance(node, Gen):
-        return f"T({node.a})"
-    if isinstance(node, GenStar):
-        return f"T*({node.a})"
-    if isinstance(node, Add):
-        return f"{print_expr(node.left)} + {print_expr(node.right)}"
-    if isinstance(node, Sub):
-        return f"{print_expr(node.left)} - {print_expr(node.right)}"
-    if isinstance(node, Mul):
-        return f"{print_expr(node.left)}*{print_expr(node.right)}"
-    if isinstance(node, Star):
-        return f"{print_expr(node.inner)}^*"
-    if isinstance(node, Paren):
-        return f"({print_expr(node.inner)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _rat_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-# -- binding to a semigroup -----------------------------------------------------------
-
-
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-
-def to_free_element(node: Expression, semigroup: NumericalSemigroup) -> FreeElement:
-    """Evaluate the AST in the free monomial algebra over the semigroup.
-
-    Every multiplicative word collapses to a single canonical monomial key.
-    Generators must be members of the active semigroup.
-    """
-    if isinstance(node, Scalar):
-        return FreeElement.identity(semigroup).scale(node.value)
-    if isinstance(node, Ident):
-        return FreeElement.identity(semigroup)
-    if isinstance(node, Gen):
-        if not semigroup.contains(node.a):
-            raise ExprError(f"generator {node.a} is not in the semigroup")
-        return FreeElement.monomial(elementary(semigroup, node.a, False))
-    if isinstance(node, GenStar):
-        if not semigroup.contains(node.a):
-            raise ExprError(f"generator {node.a} is not in the semigroup")
-        return FreeElement.monomial(elementary(semigroup, node.a, True))
-    if type(node) in _BINARY:
-        # A flat chain parses as left-nested nodes: fold its left spine in a
-        # loop, so recursion goes only as deep as the parentheses nest.
-        spine = []
-        while type(node) in _BINARY:
-            spine.append(node)
-            node = node.left
-        acc = to_free_element(node, semigroup)
-        for op in reversed(spine):
-            acc = _BINARY[type(op)](acc, to_free_element(op.right, semigroup))
-        return acc
-    if isinstance(node, Star):
-        return to_free_element(node.inner, semigroup).star()
-    if isinstance(node, Paren):
-        return to_free_element(node.inner, semigroup)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def parse_element(text: str, semigroup: NumericalSemigroup) -> FreeElement:
-    return to_free_element(parse(text), semigroup)
-
-
-# -- functional syntax -----------------------------------------------------------------
-
-
 def parse_functional(text: str, semigroup: NumericalSemigroup) -> fn.Functional:
-    p = _Parser(_tokenize(text))
-    return p.finish(p.parse_functional(semigroup))
+    p = _Parser(text, semigroup)
+    return p.finish(p.parse_functional())

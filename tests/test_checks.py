@@ -220,3 +220,23 @@ def test_coideal_checks_the_nested_loop_pairs_in_order(monkeypatch, gens, count)
     assert report["computed"]["counterexample"] == {
         "case": len(expected) - 1, "value": checks._render(expected[-1])}
     assert count is None or len(expected) == count
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (3, 7), (31, 37)])
+def test_zero_class_corner_check_is_the_diagonal_predicate(gens):
+    # suite_descent decides "the zero difference class always compresses
+    # consistently" by its diagonal predicate: on the suite's own probes and
+    # window, corner_diagram_check at class 0 gives the same verdict.
+    s = NumericalSemigroup(list(gens))
+    rng = checks._rng("descent", s, 0)
+    window = max([10] + [v.domain.threshold + 2 for v in quantum.distinct_monomials(s, 6)])
+    members = s.members_upto(window)
+
+    def diagonal(x):
+        op, t = quantum.rep(x), coproduct(x)
+        return all(t.apply((a, a)) == {(m, m): c for m, c in op.apply(a).items()}
+                   for a in members)
+
+    for _ in range(60):
+        x = checks.random_free_element(rng, s, max_terms=4, max_word_len=4)
+        assert quantum.corner_diagram_check(x, 0, window).passed == diagonal(x)

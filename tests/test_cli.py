@@ -124,6 +124,17 @@ def test_nesting_limit(capsys):
                 "message": f"parentheses nest more than 200 deep (at byte {offset})"}
 
 
+def test_eval_error_order_bytes(capsys):
+    # A syntax error is reported before a generator outside the semigroup, and
+    # the first such generator in the text is the one named; stdout and exit
+    # code of each case, byte for byte.
+    table = json.loads((Path(__file__).parent / "reports"
+                        / "eval_s23_basis5_errors.json").read_text())
+    for expr, code, out in table:
+        assert run_cli(capsys, "eval", "--gens", "2,3", "--basis", "5",
+                       "--expr", expr) == (code, out), expr
+
+
 def test_flat_expressions_of_any_length(capsys):
     # A flat sum or product is a left-nested chain as long as the expression.
     code, out = run_cli(capsys, "symbol", "--gens", "1", "--expr", "+".join(["I"] * 5000))

@@ -12,20 +12,22 @@ from sgalg import functionals as fns
 
 S23 = NumericalSemigroup([2, 3])
 Z = NumericalSemigroup([1])
+I23 = FreeElement.identity(S23)
+
+
+def gen(a, starred=False):
+    return FreeElement.monomial(elementary(S23, a, starred))
 
 
 # -- parsing --------------------------------------------------------------------
 
 
 def test_parse_projection_expression():
-    ast = ep.parse("(I - T*(3)*T(2)*T*(2)*T(3))")
-    assert isinstance(ast, ep.Paren)
-    assert isinstance(ast.inner, ep.Sub)
-    x = ep.to_free_element(ast, S23)
-    expect = (FreeElement.identity(S23)
-              - FreeElement.monomial(evaluate_word(
-                  S23, ((3, True), (2, False), (2, True), (3, False)))))
+    x = ep.parse_element("(I - T*(3)*T(2)*T*(2)*T(3))", S23)
+    expect = I23 - FreeElement.monomial(evaluate_word(
+        S23, ((3, True), (2, False), (2, True), (3, False))))
     assert x == expect
+    assert ep.parse_element("I - T*(3)*T(2)*T*(2)*T(3)", S23) == expect
 
 
 def test_star_suffix_equals_starred_generator():
@@ -33,12 +35,15 @@ def test_star_suffix_equals_starred_generator():
 
 
 def test_scalar_literals():
-    ast = ep.parse("1/2 + 3i")
-    assert ast == ep.Scalar(GaussianRational(Fraction(1, 2), 3))
-    assert ep.parse("2 - 1/4i") == ep.Scalar(GaussianRational(2, Fraction(-1, 4)))
-    # the greedy scalar only fires when the trailing i is present
-    plain = ep.parse("1/2 + 3")
-    assert isinstance(plain, ep.Add)
+    assert ep.parse_element("1/2 + 3i", S23) == I23.scale(GaussianRational(Fraction(1, 2), 3))
+    assert ep.parse_element("2 - 1/4i", S23) == I23.scale(GaussianRational(2, Fraction(-1, 4)))
+    # The scalar is greedy: with its trailing i, '1/2 + 3i' is one atom that
+    # scales T(2); without it, '1/2 + 3' is a sum and 3 scales T(2) alone.
+    assert ep.parse_element("1/2 + 3i*T(2)", S23) == (
+        gen(2).scale(GaussianRational(Fraction(1, 2), 3)))
+    assert ep.parse_element("1/2 + 3*T(2)", S23) == (
+        I23.scale(Fraction(1, 2)) + gen(2).scale(3))
+    assert ep.parse_element("1/2 + 3", S23) == I23.scale(Fraction(7, 2))
 
 
 def test_operator_order():
@@ -46,25 +51,35 @@ def test_operator_order():
     a = rep(ep.parse_element("T(2)*T*(2)", S23))
     b = rep(ep.parse_element("T*(2)*T(2)", S23))
     assert a.apply(0) == {}
-    assert b == rep(FreeElement.identity(S23))
+    assert b == rep(I23)
 
 
 def test_parse_errors_carry_offsets():
-    with pytest.raises(ep.ExprError) as err:
-        ep.parse("T(2) + @")
-    assert err.value.offset == 7
-    with pytest.raises(ep.ExprError):
-        ep.parse("T(2) +")
-    with pytest.raises(ep.ExprError):
-        ep.parse("1/0")
-    with pytest.raises(ep.ExprError):
-        ep.parse("T(2")
+    for text, offset in (("T(2) + @", 7), ("T(2) +", 6), ("1/0", 1), ("T(2", 3),
+                         ("T(2) T(3)", 5)):
+        with pytest.raises(ep.ExprError) as err:
+            ep.parse_element(text, S23)
+        assert err.value.offset == offset, text
 
 
 def test_generator_membership_enforced():
     with pytest.raises(ep.ExprError):
         ep.parse_element("T(1)", S23)
-    assert ep.parse_element("T(4)", S23) == FreeElement.monomial(elementary(S23, 4, False))
+    assert ep.parse_element("T(4)", S23) == gen(4)
+
+
+def test_syntax_errors_before_the_first_non_member():
+    # A syntax error anywhere wins over a generator outside the semigroup; on
+    # input that parses, the first such generator in the text is named.
+    s37 = NumericalSemigroup([3, 7])
+    for text, message, offset in (
+            ("T(1) +", "expected an atom, found end of input", 6),
+            ("T(1) T(2)", "trailing input 'T'", 5),
+            ("T(3) + T(5) - T*(2)*T(4)", "generator 5 is not in the semigroup", None),
+            ("(T(8)^* + T*(4))*T(2)", "generator 8 is not in the semigroup", None)):
+        with pytest.raises(ep.ExprError) as err:
+            ep.parse_element(text, s37)
+        assert (err.value.message, err.value.offset) == (message, offset), text
 
 
 def test_scalar_times_word():
@@ -82,88 +97,70 @@ def test_adjoint_of_expression_is_conjugate_linear():
     assert ep.parse_element("((0 + 2i)*T(2))^*", S23) == xs
 
 
-# -- printing round trip ------------------------------------------------------------
+# -- random expressions against free-algebra arithmetic -----------------------------
+
+# An expression is drawn as (text, value, level).  The level is what the text
+# parses as on its own: 1 a sum or difference, 2 a product, 3 a starred
+# factor, 4 an atom.  An operand below the level its place needs is
+# parenthesized, which is how a printed tree stays the tree it was drawn as.
 
 
-def scalar_nodes():
+def _rat(q):
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _scalar(re, im):
+    # Real parts are non-negative (the grammar has no unary minus); an
+    # imaginary part makes the greedy 're ± im i' atom.
+    text = _rat(re) if im == 0 else f"{_rat(re)} {'+' if im > 0 else '-'} {_rat(abs(im))}i"
+    return text, I23.scale(GaussianRational(re, im)), 4
+
+
+def _at_least(level, operand):
+    text, value, own = operand
+    return operand if own >= level else (f"({text})", value, 4)
+
+
+def _sum(left, right, minus):
+    (lt, lv, _), (rt, rv, _) = left, _at_least(2, right)
+    return (f"{lt} - {rt}", lv - rv, 1) if minus else (f"{lt} + {rt}", lv + rv, 1)
+
+
+def _product(left, right):
+    (lt, lv, _), (rt, rv, _) = _at_least(2, left), _at_least(3, right)
+    return f"{lt}*{rt}", lv * rv, 2
+
+
+def _star(inner):
+    text, value, _ = _at_least(4, inner)
+    return f"{text}^*", value.star(), 3
+
+
+def expressions():
     nonneg = st.fractions(min_value=0, max_value=20, max_denominator=9)
     anyfrac = st.fractions(min_value=-20, max_value=20, max_denominator=9)
-    return st.builds(lambda r, i: ep.Scalar(GaussianRational(r, i)), nonneg, anyfrac)
-
-
-def ast_strategy():
-    leafs = st.one_of(
-        scalar_nodes(),
-        st.just(ep.Ident()),
-        st.sampled_from([ep.Gen(2), ep.Gen(3), ep.Gen(4), ep.GenStar(2), ep.GenStar(3)]),
+    leaves = st.one_of(
+        st.builds(_scalar, nonneg, anyfrac),
+        st.just(("I", I23, 4)),
+        st.sampled_from([(f"T*({a})" if starred else f"T({a})", gen(a, starred), 4)
+                         for a in (2, 3, 4, 5) for starred in (False, True)]),
     )
 
     def extend(children):
         return st.one_of(
-            st.builds(ep.Add, children, children.map(_guard_term)),
-            st.builds(ep.Sub, children, children.map(_guard_term)),
-            st.builds(ep.Mul, children.map(_guard_factor),
-                      children.map(_guard_right_factor)),
-            st.builds(lambda i: ep.Star(_guard_factor(i)), children),
-            st.builds(ep.Paren, children),
+            st.builds(_sum, children, children, st.booleans()),
+            st.builds(_product, children, children),
+            st.builds(_star, children),
+            children.map(lambda c: (f"({c[0]})", c[1], 4)),
         )
 
-    return st.recursive(leafs, extend, max_leaves=12)
+    return st.recursive(leaves, extend, max_leaves=12)
 
 
-# The grammar is left-associative, so parser-reachable trees never have a
-# bare sum as the right child of a sum, nor a bare product as the right
-# child of a product; the generators wrap those in parentheses.
-
-def _guard_factor(node):
-    if isinstance(node, (ep.Add, ep.Sub, ep.Mul, ep.Star)):
-        return ep.Paren(node)
-    return node
-
-
-def _guard_right_factor(node):
-    if isinstance(node, (ep.Add, ep.Sub, ep.Mul, ep.Star)):
-        return ep.Paren(node)
-    return node
-
-
-def _guard_term(node):
-    if isinstance(node, (ep.Add, ep.Sub)):
-        return ep.Paren(node)
-    return node
-
-
-@given(ast_strategy())
-def test_print_parse_roundtrip(ast):
-    printed = ep.print_expr(ast)
-    assert ep.parse(printed) == ast
-
-
-def test_roundtrip_count():
-    # a deterministic bulk pass, complementing the property test
-    import random
-    rng = random.Random(71)
-    leafs = [ep.Ident(), ep.Gen(2), ep.Gen(3), ep.GenStar(2),
-             ep.Scalar(GaussianRational(Fraction(1, 2), 3)),
-             ep.Scalar(GaussianRational(5))]
-
-    def grow(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice(leafs)
-        kind = rng.randrange(5)
-        if kind == 0:
-            return ep.Add(grow(depth - 1), _guard_term(grow(depth - 1)))
-        if kind == 1:
-            return ep.Sub(grow(depth - 1), _guard_term(grow(depth - 1)))
-        if kind == 2:
-            return ep.Mul(_guard_factor(grow(depth - 1)), _guard_factor(grow(depth - 1)))
-        if kind == 3:
-            return ep.Star(_guard_factor(grow(depth - 1)))
-        return ep.Paren(grow(depth - 1))
-
-    for _ in range(500):
-        ast = grow(4)
-        assert ep.parse(ep.print_expr(ast)) == ast
+@given(expressions())
+def test_parse_matches_free_algebra_arithmetic(drawn):
+    text, value, _level = drawn
+    assert ep.parse_element(text, S23) == value, text
 
 
 # -- functional syntax ------------------------------------------------------------------
