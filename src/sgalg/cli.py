@@ -18,7 +18,7 @@ import sys
 from .semigroup import NumericalSemigroup
 from .quantum import coproduct, group_like_detect, rep
 from . import functionals as fns
-from .exprparse import ExprError, parse_element, parse_functional
+from .exprparse import MAX_LETTERS, ExprError, parse_element, parse_functional
 from .numeric import laurent_sup_norm, operator_norm, truncate
 from .checks import SUITE_NAMES, morphism_report, run_suite
 
@@ -26,9 +26,9 @@ SCHEMA = "sgalg-report/1"
 # Largest `sg norm --dim`: the truncation and its Gram matrix are dense, and
 # the Gram eigenvalues at this size take seconds on one core.
 MAX_DIM = 2048
-# Largest membership sieve, min*max of a generator list: the semigroup is
-# built by shifting an integer bitmask of that many bits.
-MAX_SIEVE = 1_000_000
+# The membership sieve, min*max of a generator list, is bounded by
+# exprparse.MAX_LETTERS: the semigroup is built by shifting an integer bitmask
+# of that many bits.
 # Largest word count, the sum of (2k)^l over lengths l up to --max-len for k
 # minimal generators of the source, that bounds an `sg morphism` search.
 MAX_WORDS = 100_000
@@ -45,7 +45,7 @@ def _gens(text: str, flag: str = "--gens") -> NumericalSemigroup:
     try:
         gens = [int(p) for p in text.split(",") if p.strip()]
         if gens:
-            _at_most(f"{flag} min*max", min(gens) * max(gens), MAX_SIEVE)
+            _at_most(f"{flag} min*max", min(gens) * max(gens), MAX_LETTERS)
         return NumericalSemigroup(gens)
     except ValueError as exc:
         raise ExprError(f"bad generator list {text!r}: {exc}") from exc
@@ -217,10 +217,23 @@ def cmd_check(args) -> int:
     return 0 if passed else 1
 
 
+class UsageError(Exception):
+    """A command line that argparse rejected; the message is argparse's."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Prints argparse's usage lines to stderr, then raises instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `sg` parser, built on the first call and shared by every later one."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sg",
         description="exact semigroup operator calculus and verification suites")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -228,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     def with_gens(p):
         p.add_argument("--gens", required=True,
                        help="comma-separated generators; 1 means the full "
-                            f"non-negative integers; min*max at most {MAX_SIEVE}")
+                            f"non-negative integers; min*max at most {MAX_LETTERS}")
 
     p = sub.add_parser("info", help="gaps, frobenius number, order totality")
     with_gens(p)
@@ -306,8 +319,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    except UsageError as exc:
+        _emit({"schema": SCHEMA, "error": {"kind": "usage", "message": str(exc)}})
+        return 2
+    except SystemExit as exc:  # --help
+        return exc.code or 0
     try:
         return args.fn(args)
     except ExprError as exc:

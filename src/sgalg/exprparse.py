@@ -12,8 +12,9 @@ same as ``T(a)^*``.  The scalar lookahead is greedy: ``1/2 + 3i`` is one
 scalar atom.  Counterexamples rely on this grammar: ``checks._render`` spells
 words that ``sg eval`` reads back and ``lin(re±im i*f)`` coefficients that
 ``sg convolve`` reads back.  Elements are built in the free algebra while
-parsing.  A syntax error is reported before a generator that is not a
-member, and the first such generator in the text is the one named.
+parsing.  A syntax error is reported before a binding error, and the first
+binding error in the text is the one named: a generator that is not a
+member, or the letter that takes the letters' sum past ``MAX_LETTERS``.
 
 Functionals share the lexer and the scalar rules:
 
@@ -29,7 +30,6 @@ at 2*pi/3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -53,15 +53,13 @@ class ExprError(ValueError):
 # -- lexer -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str        # INT IDENT PLUS MINUS STAR SLASH LPAREN RPAREN LBRACK RBRACK
-                     # COMMA STARSUF END
-    text: str
-    offset: int
+# Token kinds of the one-character marks; the others are INT, IDENT, STARSUF and END.
+_PUNCT = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH", "(": "LPAREN",
+          ")": "RPAREN", "[": "LBRACK", "]": "RBRACK", ",": "COMMA"}
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, ending with one END token at the text's length."""
     out = []
     i = 0
     n = len(text)
@@ -71,34 +69,32 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch.isdigit():
-            j = i
+            j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            out.append(_Token("INT", text[i:j], i))
+            out.append(("INT", text[i:j], i))
             i = j
             continue
         if ch.isalpha():
-            j = i
+            j = i + 1
             while j < n and text[j].isalpha():
                 j += 1
-            out.append(_Token("IDENT", text[i:j], i))
+            out.append(("IDENT", text[i:j], i))
             i = j
+            continue
+        kind = _PUNCT.get(ch)
+        if kind is not None:
+            out.append((kind, ch, i))
+            i += 1
             continue
         if ch == "^":
             if i + 1 < n and text[i + 1] == "*":
-                out.append(_Token("STARSUF", "^*", i))
+                out.append(("STARSUF", "^*", i))
                 i += 2
                 continue
             raise ExprError("expected '*' after '^'", i)
-        simple = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
-                  "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
-                  ",": "COMMA"}
-        if ch in simple:
-            out.append(_Token(simple[ch], ch, i))
-            i += 1
-            continue
         raise ExprError(f"unexpected character {ch!r}", i)
-    out.append(_Token("END", "", n))
+    out.append(("END", "", n))
     return out
 
 
@@ -107,6 +103,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 # Deepest parenthesis nesting accepted, well inside Python's recursion limit.
 MAX_NESTING = 200
+# Largest sum of the letters a in T(a) and T*(a) that one input reads: a
+# letter's domain is a bitmask about a bits long.  The --gens sieve, a bitmask
+# of min*max bits, has the same budget (cli).
+MAX_LETTERS = 1_000_000
 
 
 class _Parser:
@@ -117,17 +117,18 @@ class _Parser:
         self.semigroup = semigroup
         self.pos = 0
         self.depth = 0
-        # First generator outside the semigroup, reported once the input parsed.
-        self.outsider: Optional[int] = None
+        self.letters = 0  # sum of the letters a read so far
+        # First binding error in the text, reported once the input parsed.
+        self.unbound: Optional[str] = None
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> tuple[str, str, int]:
+        # pos never passes the END token: it moves only past a token of a matched kind.
+        return self.tokens[self.pos]
 
-    def take(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprError(f"expected {kind}, found {tok.text or 'end of input'}",
-                            tok.offset)
+    def take(self, kind: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ExprError(f"expected {kind}, found {tok[1] or 'end of input'}", tok[2])
         self.pos += 1
         return tok
 
@@ -135,7 +136,7 @@ class _Parser:
         """Consume a '(' that nests what follows one level deeper."""
         tok = self.take("LPAREN")
         if self.depth == MAX_NESTING:
-            raise ExprError(f"parentheses nest more than {MAX_NESTING} deep", tok.offset)
+            raise ExprError(f"parentheses nest more than {MAX_NESTING} deep", tok[2])
         self.depth += 1
 
     def close_paren(self) -> None:
@@ -143,17 +144,18 @@ class _Parser:
         self.depth -= 1
 
     def finish(self, value):
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ExprError(f"trailing input {tok.text!r}", tok.offset)
-        if self.outsider is not None:
-            raise ExprError(f"generator {self.outsider} is not in the semigroup")
+        kind, text, offset = self.peek()
+        if kind != "END":
+            raise ExprError(f"trailing input {text!r}", offset)
+        if self.unbound is not None:
+            raise ExprError(self.unbound)
         return value
 
     def parse_expr(self) -> FreeElement:
         value = self.parse_term()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            if self.take(self.peek().kind).kind == "PLUS":
+        while (kind := self.peek()[0]) in ("PLUS", "MINUS"):
+            self.pos += 1
+            if kind == "PLUS":
                 value = value + self.parse_term()
             else:
                 value = value - self.parse_term()
@@ -161,55 +163,57 @@ class _Parser:
 
     def parse_term(self) -> FreeElement:
         value = self.parse_factor()
-        while self.peek().kind == "STAR":
-            self.take("STAR")
+        while self.peek()[0] == "STAR":
+            self.pos += 1
             value = value * self.parse_factor()
         return value
 
     def parse_factor(self) -> FreeElement:
         value = self.parse_atom()
-        if self.peek().kind == "STARSUF":
-            self.take("STARSUF")
+        if self.peek()[0] == "STARSUF":
+            self.pos += 1
             value = value.star()
         return value
 
     def parse_atom(self) -> FreeElement:
-        tok = self.peek()
+        kind, text, offset = self.peek()
         s = self.semigroup
-        if tok.kind == "INT":
+        if kind == "INT":
             return FreeElement.identity(s).scale(self.parse_rational_complex())
-        if tok.kind == "IDENT" and tok.text == "I":
-            self.take("IDENT")
+        if kind == "IDENT" and text == "I":
+            self.pos += 1
             return FreeElement.identity(s)
-        if tok.kind == "IDENT" and tok.text == "T":
-            self.take("IDENT")
+        if kind == "IDENT" and text == "T":
+            self.pos += 1
             starred = False
-            if self.peek().kind == "STAR" and self.peek(1).kind == "LPAREN":
-                self.take("STAR")
+            if self.peek()[0] == "STAR" and self.tokens[self.pos + 1][0] == "LPAREN":
+                self.pos += 1
                 starred = True
             self.take("LPAREN")
-            a = int(self.take("INT").text)
+            a = int(self.take("INT")[1])
             self.take("RPAREN")
-            if s.contains(a):
+            self.letters += a
+            if self.letters <= MAX_LETTERS and s.contains(a):
                 return FreeElement.monomial(elementary(s, a, starred))
-            if self.outsider is None:
-                self.outsider = a
+            if self.unbound is None:
+                self.unbound = (f"generator {a} is not in the semigroup"
+                                if self.letters <= MAX_LETTERS else
+                                f"the letters sum to more than {MAX_LETTERS}")
             return FreeElement.zero(s)  # a stand-in: finish raises
-        if tok.kind == "LPAREN":
+        if kind == "LPAREN":
             self.open_paren()
             value = self.parse_expr()
             self.close_paren()
             return value
-        raise ExprError(f"expected an atom, found {tok.text or 'end of input'}",
-                        tok.offset)
+        raise ExprError(f"expected an atom, found {text or 'end of input'}", offset)
 
     def parse_rat(self) -> Fraction:
-        num = int(self.take("INT").text)
-        if self.peek().kind == "SLASH":
+        num = int(self.take("INT")[1])
+        if self.peek()[0] == "SLASH":
             slash = self.take("SLASH")
-            den = int(self.take("INT").text)
+            den = int(self.take("INT")[1])
             if den == 0:
-                raise ExprError("division by zero in scalar", slash.offset)
+                raise ExprError("division by zero in scalar", slash[2])
             return Fraction(num, den)
         return Fraction(num)
 
@@ -217,46 +221,47 @@ class _Parser:
         real = self.parse_rat()
         # Greedy lookahead: consume '± rat i' only when the 'i' is present.
         save = self.pos
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = 1 if self.peek().kind == "PLUS" else -1
+        kind = self.peek()[0]
+        if kind in ("PLUS", "MINUS"):
+            sign = 1 if kind == "PLUS" else -1
             self.pos += 1
-            if self.peek().kind == "INT":
+            if self.peek()[0] == "INT":
                 try:
                     imag = self.parse_rat()
                 except ExprError:
                     self.pos = save
                     return GaussianRational(real)
-                if self.peek().kind == "IDENT" and self.peek().text == "i":
-                    self.take("IDENT")
+                if self.peek()[:2] == ("IDENT", "i"):
+                    self.pos += 1
                     return GaussianRational(real, sign * imag)
             self.pos = save
         return GaussianRational(real)
 
     def take_sign(self) -> int:
         """Consume an optional leading '-': -1 when present, else 1."""
-        if self.peek().kind == "MINUS":
+        if self.peek()[0] == "MINUS":
             self.pos += 1
             return -1
         return 1
 
     def parse_functional(self) -> fn.Functional:
-        tok = self.peek()
-        name = tok.text if tok.kind == "IDENT" else None
+        kind, text, offset = self.peek()
+        name = text if kind == "IDENT" else None
         if name == "haar":
             self.pos += 1
             return fn.haar()
         if name == "w":
             self.pos += 1
             self.take("LBRACK")
-            a = self.take_sign() * int(self.take("INT").text)
+            a = self.take_sign() * int(self.take("INT")[1])
             self.take("COMMA")
-            b = self.take_sign() * int(self.take("INT").text)
+            b = self.take_sign() * int(self.take("INT")[1])
             self.take("RBRACK")
             if not self.semigroup.contains(a) or not self.semigroup.contains(b):
                 raise ExprError(f"matrix coefficient against non-members ({a},{b})")
             return fn.MatrixCoeff(a, b)
         if name not in ("pm", "conv", "lin"):
-            raise ExprError("expected a functional", tok.offset)
+            raise ExprError("expected a functional", offset)
         self.pos += 1
         self.open_paren()
         if name == "pm":
@@ -274,9 +279,11 @@ class _Parser:
                 self.take("STAR")
                 coeff = GaussianRational(real_sign * z.re, z.im) * sign
                 terms.append((coeff, self.parse_functional()))
-                if self.peek().kind not in ("PLUS", "MINUS"):
+                kind = self.peek()[0]
+                if kind not in ("PLUS", "MINUS"):
                     break
-                sign = 1 if self.take(self.peek().kind).kind == "PLUS" else -1
+                self.pos += 1
+                sign = 1 if kind == "PLUS" else -1
             node = fn.lin_combo(terms)
         self.close_paren()
         return node

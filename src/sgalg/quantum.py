@@ -36,8 +36,8 @@ class FreeElement(Combination):
         return cls(semigroup, {})
 
     @classmethod
-    def monomial(cls, v: PartialTranslation, coeff=1) -> "FreeElement":
-        return cls(v.semigroup, {v: coeff})
+    def monomial(cls, v: PartialTranslation) -> "FreeElement":
+        return cls._new(v.semigroup, {v: ONE})
 
     @classmethod
     def identity(cls, semigroup: NumericalSemigroup) -> "FreeElement":

@@ -29,6 +29,12 @@ def _gr(a: int, b: int, d: int) -> "GaussianRational":
     return out
 
 
+def _ratio(n: int, d: int) -> str:
+    """n/d spelled as str(Fraction(n, d)) spells it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _exact(x):
     """x as a GaussianRational, or None when x is not an exact scalar."""
     if isinstance(x, GaussianRational):
@@ -173,12 +179,11 @@ class GaussianRational:
     __complex__ = to_complex
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        imag = f"{abs(im)}i" if abs(im) != 1 else "i"
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{imag}"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio(a, d)
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio(a, d)}{sign}{'' if abs(b) == d else _ratio(abs(b), d)}i"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -7,10 +7,14 @@ integers and its complement in them is finite.
 
 from __future__ import annotations
 
+import re
 from itertools import compress, count
 from math import gcd
 
 _BIT_FLAGS = str.maketrans("01", "\0\1")
+_NONZERO_BYTE = re.compile(rb"[^\0]")
+# The set bits of each byte value, increasing.
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
 def _flags(mask: int) -> bytes:
@@ -19,8 +23,20 @@ def _flags(mask: int) -> bytes:
 
 
 def bit_positions(mask: int) -> list[int]:
-    """Set bits of a non-negative integer, increasing, in one linear pass."""
-    return list(compress(count(), _flags(mask)))
+    """Set bits of a non-negative integer, increasing.
+
+    A dense mask is spelled out in one linear pass.  A sparse one, with fewer
+    than one set bit per 16, is scanned for its nonzero bytes in C, so Python
+    steps once per nonzero byte and set bit; peeling off the lowest set bit
+    instead would copy the whole integer per bit.  On random masks the scan
+    is the faster from about one set bit per 10 at 1,024 bits and more, and
+    per 20 to 24 at 64 to 256 bits.
+    """
+    if mask.bit_count() * 16 >= mask.bit_length():
+        return list(compress(count(), _flags(mask)))
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * at + i for at in map(re.Match.start, _NONZERO_BYTE.finditer(data))
+            for i in _BYTE_BITS[data[at]]]
 
 
 class NumericalSemigroup:

@@ -2,10 +2,12 @@
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from sgalg.exprparse import ExprError
 from sgalg.scalars import ONE, ZERO
 from sgalg.operators import from_monomial
 from sgalg.semigroup import morphism_multipliers
@@ -188,3 +190,53 @@ def pairwise_morphism_falsify(s1, s2, m, max_word_len):
             right = [(-c, words[pts[p]]) for p, c in kappa if c.im == 0 and c.re < 0]
             return MorphismWitness("combination", left, right, m)
     return None
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    offset: int
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """exprparse._tokenize's reference: the lexer that built one frozen _Token per
+    token and looked punctuation up in a dict made for each character."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(_Token("INT", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            out.append(_Token("IDENT", text[i:j], i))
+            i = j
+            continue
+        if ch == "^":
+            if i + 1 < n and text[i + 1] == "*":
+                out.append(_Token("STARSUF", "^*", i))
+                i += 2
+                continue
+            raise ExprError("expected '*' after '^'", i)
+        simple = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
+                  "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
+                  ",": "COMMA"}
+        if ch in simple:
+            out.append(_Token(simple[ch], ch, i))
+            i += 1
+            continue
+        raise ExprError(f"unexpected character {ch!r}", i)
+    out.append(_Token("END", "", n))
+    return [(t.kind, t.text, t.offset) for t in out]

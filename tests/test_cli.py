@@ -311,6 +311,34 @@ def test_usage_errors(capsys):
     doc = json.loads(out)
     assert doc["error"]["kind"] == "input"
 
+    # Command lines argparse rejects give the JSON error too; stderr keeps
+    # argparse's usage lines.
+    for argv, message in (
+            (("norm", "--gens", "2,3", "--expr", "T(2)", "--dim", "abc"),
+             "argument --dim: invalid int value: 'abc'"),
+            (("norm", "--gens", "2,3", "--dim", "4"),
+             "the following arguments are required: --expr"),
+            (("check", "--gens", "2,3", "--suite", "nope"),
+             "argument --suite: invalid choice: 'nope' (choose from "),
+            (("frobenius", "--gens", "2,3"),
+             "argument command: invalid choice: 'frobenius' (choose from ")):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert (code, doc["schema"], set(doc["error"])) == (2, cli.SCHEMA, {"kind", "message"})
+        assert doc["error"]["kind"] == "usage"
+        assert doc["error"]["message"].startswith(message), argv
+        assert captured.out.endswith("}\n")
+        assert captured.err.startswith("usage: sg")
+        assert f"error: {message}" in captured.err
+
+
+def test_help_exits_zero_with_usage(capsys):
+    for argv in (("--help",), ("norm", "--help")):
+        assert main(list(argv)) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: sg") and not captured.err
+
 
 def test_word_length_must_be_positive(capsys):
     for length in ("0", "-3"):
@@ -372,6 +400,17 @@ def test_sizes_are_bounded(capsys, monkeypatch, flag, argv, guarded):
     doc = json.loads(out)
     assert doc["error"]["kind"] == "input"
     assert flag in doc["error"]["message"]
+
+
+def test_expression_letters_are_bounded(capsys, monkeypatch):
+    # A letter past the budget never reaches elementary: T*(a) alone would
+    # shift the gap mask by a bits.
+    monkeypatch.setattr("sgalg.exprparse.elementary", _refuse)
+    for expr in ("T*(999999999999)", "T(10000000000) + T*(1000001)"):
+        code, out = run_cli(capsys, "eval", "--gens", "2,3", "--expr", expr, "--basis", "3")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "input", "message": "the letters sum to more than 1000000", "offset": None}
 
 
 def test_word_length_bound_follows_the_source():

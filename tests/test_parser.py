@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sgalg.scalars import GaussianRational
 from sgalg.semigroup import NumericalSemigroup
@@ -9,6 +9,8 @@ from sgalg.translations import elementary, evaluate_word
 from sgalg.quantum import FreeElement, rep
 from sgalg import exprparse as ep
 from sgalg import functionals as fns
+
+from conftest import reference_tokenize
 
 S23 = NumericalSemigroup([2, 3])
 Z = NumericalSemigroup([1])
@@ -82,6 +84,34 @@ def test_syntax_errors_before_the_first_non_member():
         assert (err.value.message, err.value.offset) == (message, offset), text
 
 
+def test_letters_are_bounded(monkeypatch):
+    # The letters an input reads sum to at most MAX_LETTERS: at the budget the
+    # input binds, past it no further letter is built.
+    assert ep.MAX_LETTERS == 1_000_000
+    x = ep.parse_element("T(500000)*T*(500000)", S23)
+    assert x == gen(500000) * gen(500000, True)
+    built = []
+
+    def recording(s, a, starred):
+        built.append(a)
+        return elementary(s, a, starred)
+
+    monkeypatch.setattr("sgalg.exprparse.elementary", recording)
+    for text, letters, message in (
+            ("T*(999999999999)", [], "the letters sum to more than 1000000"),
+            ("T(500000)*T*(500001)", [500000], "the letters sum to more than 1000000"),
+            ("T(2) + T(2000000)*T*(2)", [2], "the letters sum to more than 1000000"),
+            ("T(1) + T(2000000)", [], "generator 1 is not in the semigroup"),
+            ("T(2000000) + T(1)", [], "the letters sum to more than 1000000")):
+        built.clear()
+        with pytest.raises(ep.ExprError) as err:
+            ep.parse_element(text, S23)
+        assert (err.value.message, err.value.offset, built) == (message, None, letters), text
+    with pytest.raises(ep.ExprError) as err:
+        ep.parse_element("T*(999999999999) +", S23)
+    assert (err.value.message, err.value.offset) == ("expected an atom, found end of input", 18)
+
+
 def test_scalar_times_word():
     x = ep.parse_element("2*T(2) + (1/2 + 3i)*T(3)", S23)
     t2 = elementary(S23, 2, False)
@@ -95,6 +125,29 @@ def test_adjoint_of_expression_is_conjugate_linear():
     xs = x.star()
     assert xs.terms[elementary(S23, 2, True)] == GaussianRational(0, -2)
     assert ep.parse_element("((0 + 2i)*T(2))^*", S23) == xs
+
+
+# -- lexer ------------------------------------------------------------------------
+
+
+_LEXER_ALPHABET = ("0123456789aTIiwz" "\u0663\u00b2\u00e9\u03bb"
+                   " \t\u2003" "+-*/()[],^@")
+
+
+@given(st.text(alphabet=_LEXER_ALPHABET, max_size=24))
+@example("T*(3)^* + 1/2i")
+@example("w[-2,\u0663\u00b2]\t\u00e9\u03bb")
+@example("T(2)^")
+@example("T(2) @")
+def test_tokens_match_the_reference_lexer(text):
+    try:
+        expected = reference_tokenize(text)
+    except ep.ExprError as exc:
+        with pytest.raises(ep.ExprError) as err:
+            ep._tokenize(text)
+        assert (err.value.message, err.value.offset) == (exc.message, exc.offset)
+    else:
+        assert ep._tokenize(text) == expected
 
 
 # -- random expressions against free-algebra arithmetic -----------------------------

@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 
@@ -48,6 +48,28 @@ def test_string_forms():
     assert str(GaussianRational(2, -1)) == "2-i"
     assert str(GaussianRational(0)) == "0"
     assert str(GaussianRational(-3)) == "-3"
+
+
+def fraction_spelling(re: Fraction, im: Fraction) -> str:
+    """GaussianRational.__str__'s reference, spelled from the two Fraction parts."""
+    if im == 0:
+        return str(re)
+    imag = f"{abs(im)}i" if abs(im) != 1 else "i"
+    return f"{re}{'+' if im > 0 else '-'}{imag}"
+
+
+# Zero parts, imaginary parts of +-1 and denominators only one part has.
+parts = st.one_of(rationals, st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)]))
+
+
+@given(parts, parts)
+@example(Fraction(1, 2), Fraction(1, 3))
+@example(Fraction(3, 4), Fraction(-1, 6))
+@example(Fraction(-1, 6), Fraction(1))
+@example(Fraction(0), Fraction(-7, 2))
+def test_string_form_matches_fraction_spelling(re, im):
+    assert str(GaussianRational(re, im)) == fraction_spelling(re, im)
 
 
 def test_hash_consistent_with_int_equality():

@@ -2,7 +2,7 @@ import itertools
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sgalg.semigroup import (NumericalSemigroup, automorphism_multipliers,
                              bit_positions, morphism_multipliers)
@@ -52,8 +52,24 @@ def test_shift_sieve_at_the_generator_limit():
 
 
 @given(st.integers(0, 2 ** 300))
+@example(0)
+@example(1 << 64)
+@example(1 << 40_000)
+@example((1 << 40_000) - 1)
+@example((1 << 40_000) | (1 << 17) | 1)
+@example(sum(1 << n for n in range(0, 40_000, 15)))
+@example(sum(1 << n for n in range(0, 40_000, 17)))
 def test_bit_positions(mask):
     assert bit_positions(mask) == [n for n in range(mask.bit_length()) if (mask >> n) & 1]
+
+
+@given(st.sampled_from([None, 1, 3, 15, 16, 17, 40]), st.lists(st.integers(0, 40_000), max_size=700))
+def test_bit_positions_of_sparse_and_dense_masks(step, bits):
+    # Up to 700 scattered bits of 40,001 over one set bit per `step`: masks on
+    # both sides of one set bit per 16.
+    bits = set(bits) | (set(range(0, 40_001, step)) if step else set())
+    mask = sum(1 << b for b in bits)
+    assert bit_positions(mask) == sorted(bits)
 
 
 def test_build_rejections():
