@@ -331,7 +331,8 @@ def main(argv=None) -> int:
                                            "offset": exc.offset}})
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    # OverflowError: a scalar past the float range, met by the float layer.
+    except (ValueError, RuntimeError, OverflowError) as exc:
         _emit({"schema": SCHEMA, "error": {"kind": "input", "message": str(exc)}})
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,18 +84,20 @@ def phi_star(xi: Functional, s: NumericalSemigroup, e: int) -> Functional:
 
 
 def eval_on_monomial(xi: Functional, v: PartialTranslation) -> Scalar:
-    if isinstance(xi, MatrixCoeff):
-        if v.domain.contains(xi.b) and xi.b + v.index == xi.a:
+    kind = type(xi)
+    if kind is MatrixCoeff:
+        b = xi.b
+        if b + v.index == xi.a and v.semigroup.contains(b) and not (v.mask >> b) & 1:
             return ONE
         return ZERO
-    if isinstance(xi, SymbolPointMass):
+    if kind is SymbolPointMass:
         angle = 2.0 * cmath.pi * float(xi.turns)
         return xi.weight * cmath.exp(1j * v.index * angle)
-    if isinstance(xi, LinCombo):
+    if kind is LinCombo:
         return sum((c * eval_on_monomial(f, v) for c, f in xi.terms), ZERO)
-    if isinstance(xi, Convolution):
+    if kind is Convolution:
         return eval_on_monomial(xi.left, v) * eval_on_monomial(xi.right, v)
-    if isinstance(xi, ShiftPullback):
+    if kind is ShiftPullback:
         conj = FreeElement.monomial(v).conjugate_by_shift(xi.e)
         return evaluate(xi.inner, conj)
     raise TypeError(f"not a functional: {xi!r}")

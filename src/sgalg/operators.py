@@ -302,7 +302,7 @@ def _parts(a: OperatorElement) -> tuple[list, list]:
 def monomial_terms(v: PartialTranslation, coeff) -> list:
     """The terms of coeff times from_monomial(v), its units first."""
     c = v.index
-    units = bit_positions(v.domain.mask & ~_leaving(v.semigroup, c))
+    units = bit_positions(v.mask & ~_leaving(v.semigroup, c))
     neg = -coeff if units else None
     return [((c, d), neg) for d in units] + [((c, None), coeff)]
 

@@ -238,11 +238,10 @@ def descent_witness(x: FreeElement, window: int
         raise ValueError("descent probe requires a rep-zero element")
     left_out = 0
     for v in x.terms:
-        left_out |= v.domain.mask
+        left_out |= v.mask
     points = bit_positions(left_out & ((2 << window) - 1))
     for c in points:
-        row = [(v.index, v.domain.mask, a) for v, a in x.terms.items()
-               if not v.domain.mask >> c & 1]
+        row = [(v.index, v.mask, a) for v, a in x.terms.items() if not v.mask >> c & 1]
         for d in points:
             vals = Combination.collect(None, (((c + i, d + i), a) for i, mask, a in row
                                               if not mask >> d & 1)).terms

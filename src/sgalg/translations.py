@@ -114,9 +114,13 @@ class PartialTranslation:
 
     Invariant: the domain and its translate both lie in the semigroup, so the
     basis action e_d -> e_{d+index} (d in domain) lands on basis vectors.
+
+    The translation is the pair (index, mask), where mask holds the members
+    the domain leaves out; ``domain`` is an ``EventualSet`` view of the mask,
+    built on first use.
     """
 
-    __slots__ = ("semigroup", "index", "domain")
+    __slots__ = ("semigroup", "index", "mask", "_domain", "_hash")
 
     def __init__(self, semigroup: NumericalSemigroup, index: int, domain: EventualSet):
         if domain.semigroup != semigroup:
@@ -125,51 +129,71 @@ class PartialTranslation:
         if leaving:
             d = (leaving & -leaving).bit_length() - 1
             raise ValueError(f"image of {d} under shift {index} leaves the semigroup")
-        self.semigroup = semigroup
-        self.index = index
-        self.domain = domain
+        self.semigroup, self.index, self.mask = semigroup, index, domain.mask
+        self._domain, self._hash = domain, None
+
+    @property
+    def domain(self) -> EventualSet:
+        if self._domain is None:
+            self._domain = EventualSet.from_mask(self.semigroup, self.mask)
+        return self._domain
 
     @property
     def sort_key(self):
-        return (self.index, self.domain.threshold, self.domain.members_below)
+        # No view is kept here: a sort reaches every translation a word search
+        # found, and a view kept on each raised the falsifier's peak memory.
+        domain = self._domain or EventualSet.from_mask(self.semigroup, self.mask)
+        return (self.index, self.mask.bit_length(), domain.members_below)
 
     def apply(self, d: int) -> Optional[int]:
         """Image of the basis point d, or None when the translation kills it."""
         if not self.semigroup.contains(d):
             raise ValueError(f"{d} is not a member")
-        return d + self.index if self.domain.contains(d) else None
+        return None if (self.mask >> d) & 1 else d + self.index
 
     def adjoint(self) -> "PartialTranslation":
         s = self.semigroup
         c = self.index
         # The image of the domain: e is left out when e - c is not a member
         # of the domain.
-        mask = (_leaving(s, -c) | _pullback(self.domain.mask, -c)) & ~s.gapmask
-        return PartialTranslation(s, -c, EventualSet.from_mask(s, mask))
+        return _translation(s, -c, (_leaving(s, -c) | _pullback(self.mask, -c)) & ~s.gapmask)
 
     def __eq__(self, other):
         if not isinstance(other, PartialTranslation):
             return NotImplemented
-        return (self.index == other.index and self.domain.mask == other.domain.mask
-                and self.semigroup == other.semigroup)
+        return (self.index == other.index and self.mask == other.mask
+                and (self.semigroup is other.semigroup or self.semigroup == other.semigroup))
 
     def __hash__(self):
-        return hash((self.index, self.domain.mask))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.index, self.mask))
+        return h
 
     def __str__(self):
         members = ",".join(str(m) for m in self.domain.members_below)
-        return f"PT({self.index}; {{{members}}}; {self.domain.threshold})"
+        return f"PT({self.index}; {{{members}}}; {self.mask.bit_length()})"
 
     def __repr__(self):
         return (f"PartialTranslation({self.semigroup!r}, {self.index}, "
-                f"excluded={list(self.domain.excluded())!r})")
+                f"excluded={list(bit_positions(self.mask))!r})")
 
     def to_json_dict(self) -> dict:
         return {
             "index": self.index,
             "members_below": list(self.domain.members_below),
-            "threshold": self.domain.threshold,
+            "threshold": self.mask.bit_length(),
         }
+
+
+_new = object.__new__
+
+
+def _translation(s: NumericalSemigroup, index: int, mask: int) -> PartialTranslation:
+    """The translation (index, mask), whose invariant the caller guarantees."""
+    out = _new(PartialTranslation)
+    out.semigroup, out.index, out.mask, out._domain, out._hash = s, index, mask, None, None
+    return out
 
 
 def elementary(semigroup: NumericalSemigroup, a: int, starred: bool) -> PartialTranslation:
@@ -181,9 +205,7 @@ def elementary(semigroup: NumericalSemigroup, a: int, starred: bool) -> PartialT
     if v is None:
         if not semigroup.contains(a):
             raise ValueError(f"{a} is not a member of {semigroup}")
-        c = -a if starred else a
-        v = PartialTranslation(semigroup, c,
-                               EventualSet.from_mask(semigroup, _leaving(semigroup, c)))
+        v = max_translation(semigroup, -a if starred else a)
         semigroup._letters[(a, starred)] = v
     return v
 
@@ -197,12 +219,12 @@ def compose(v: PartialTranslation, w: PartialTranslation) -> PartialTranslation:
     s = v.semigroup
     if w.semigroup is not s and w.semigroup != s:
         raise ValueError("cannot compose translations over different semigroups")
-    domain = EventualSet.__new__(EventualSet)
-    domain.semigroup, domain._below = s, None
-    # d is left out when w leaves it out or v leaves out d + index(w).
-    domain.mask = (w.domain.mask | _pullback(v.domain.mask, w.index)) & ~s.gapmask
-    out = PartialTranslation.__new__(PartialTranslation)
-    out.semigroup, out.index, out.domain = s, v.index + w.index, domain
+    t = w.index
+    out = _new(PartialTranslation)
+    # d is left out when w leaves it out or v leaves out d + t.
+    out.semigroup, out.index, out.mask, out._domain, out._hash = (
+        s, v.index + t, (w.mask | (v.mask >> t if t >= 0 else v.mask << -t)) & ~s.gapmask,
+        None, None)
     return out
 
 
@@ -211,19 +233,26 @@ def max_translation(semigroup: NumericalSemigroup, c: int) -> PartialTranslation
 
     Equals T_a* T_b for any members with b - a = c.
     """
-    return PartialTranslation(semigroup, c,
-                              EventualSet.from_mask(semigroup, _leaving(semigroup, c)))
+    return _translation(semigroup, c, _leaving(semigroup, c))
 
 
 def evaluate_word(semigroup: NumericalSemigroup, word: Sequence[Letter]) -> PartialTranslation:
-    """Normal form of a word of elementary letters, in operator order."""
+    """Normal form of a word of elementary letters, in operator order.
+
+    The word is folded from its right end, the letter that acts first: d is
+    left out when some letter leaves out d + t, t the index of the letters
+    that act before it.  The fold only ORs shifted letter masks together, so
+    the gaps it sets are cleared once, at the end.
+    """
     if not word:
         raise ValueError("empty word")
-    a, starred = word[0]
-    acc = elementary(semigroup, a, starred)
-    for a, starred in word[1:]:
-        acc = compose(acc, elementary(semigroup, a, starred))
-    return acc
+    letters = semigroup._letters
+    index = mask = 0
+    for a, starred in reversed(word):
+        v = letters.get((a, starred)) or elementary(semigroup, a, starred)
+        mask |= v.mask >> index if index >= 0 else v.mask << -index
+        index += v.index
+    return _translation(semigroup, index, mask & ~semigroup.gapmask)
 
 
 def word_action(semigroup: NumericalSemigroup, word: Sequence[Letter],

@@ -147,6 +147,13 @@ def pairwise_descent_witness(x, window):
     return None
 
 
+def pointwise_diagonal(t, op, window):
+    """checks.diagonal_agrees's reference: the whole tensor and the whole
+    operator applied at every member up to window."""
+    return all(t.apply((a, a)) == {(m, m): c for m, c in op.apply(a).items()}
+               for a in op.semigroup.members_upto(window))
+
+
 def dense_truncate(a, n):
     """numeric.truncate's reference: the complex128 compression built entry by
     entry over the components and the legend, each entry complex(w.value(s_j))."""
@@ -201,7 +208,8 @@ class _Token:
 
 def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
     """exprparse._tokenize's reference: the lexer that built one frozen _Token per
-    token and looked punctuation up in a dict made for each character."""
+    token and looked punctuation up in a dict made for each character.  A
+    number is ASCII digits only."""
     out = []
     i = 0
     n = len(text)
@@ -210,9 +218,9 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             out.append(_Token("INT", text[i:j], i))
             i = j

@@ -3,6 +3,7 @@ first counterexample when failing."""
 
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -11,11 +12,14 @@ import pytest
 from sgalg import checks, cli, quantum
 from sgalg import functionals as fns
 from sgalg.exprparse import parse_element, parse_functional
+from sgalg.operators import OperatorElement
 from sgalg.quantum import FreeElement, coproduct
-from sgalg.scalars import GaussianRational
+from sgalg.scalars import ONE, GaussianRational
 from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import (EventualSet, PartialTranslation, evaluate_word,
                                 word_action)
+
+from conftest import pointwise_diagonal
 
 S23 = NumericalSemigroup([2, 3])
 REPORT_KEYS = {"claim", "parameters", "computed", "expected", "tolerance", "pass"}
@@ -222,21 +226,42 @@ def test_coideal_checks_the_nested_loop_pairs_in_order(monkeypatch, gens, count)
     assert count is None or len(expected) == count
 
 
+def descent_probes(s):
+    """suite_descent's window and diagonal probes at seed 0."""
+    rng = checks._rng("descent", s, 0)
+    window = max([10] + [v.domain.threshold + 2 for v in quantum.distinct_monomials(s, 6)])
+    return window, [checks.random_free_element(rng, s, max_terms=4, max_word_len=4)
+                    for _ in range(60)]
+
+
 @pytest.mark.parametrize("gens", [(2, 3), (3, 7), (31, 37)])
 def test_zero_class_corner_check_is_the_diagonal_predicate(gens):
     # suite_descent decides "the zero difference class always compresses
     # consistently" by its diagonal predicate: on the suite's own probes and
     # window, corner_diagram_check at class 0 gives the same verdict.
     s = NumericalSemigroup(list(gens))
-    rng = checks._rng("descent", s, 0)
-    window = max([10] + [v.domain.threshold + 2 for v in quantum.distinct_monomials(s, 6)])
-    members = s.members_upto(window)
+    window, probes = descent_probes(s)
+    for x in probes:
+        assert (quantum.corner_diagram_check(x, 0, window).passed
+                == pointwise_diagonal(coproduct(x), quantum.rep(x), window))
 
-    def diagonal(x):
-        op, t = quantum.rep(x), coproduct(x)
-        return all(t.apply((a, a)) == {(m, m): c for m, c in op.apply(a).items()}
-                   for a in members)
 
-    for _ in range(60):
-        x = checks.random_free_element(rng, s, max_terms=4, max_word_len=4)
-        assert quantum.corner_diagram_check(x, 0, window).passed == diagonal(x)
+@pytest.mark.parametrize("gens", [(2, 3), (3, 7), (11, 13), (31, 37)])
+def test_diagonal_predicate_matches_the_pointwise_reference(gens):
+    # On the suite's probes, and on each probe's operator with one weight
+    # perturbed: a unit at a member d, inside the window or just past it, or
+    # one more widest translation, which moves the weight's tail.
+    s = NumericalSemigroup(list(gens))
+    window, probes = descent_probes(s)
+    rng = random.Random(0)
+    verdicts = []
+    for x in probes:
+        t, op = coproduct(x), quantum.rep(x)
+        c = rng.choice([v.index for v in x.terms] or [0])
+        d = rng.choice([m for m in s.members_upto(window + 3) if s.contains(m + c)])
+        for perturbed in (op, op + OperatorElement(s, {(c, d): ONE}),
+                          op + OperatorElement(s, {(c, None): ONE})):
+            expected = pointwise_diagonal(t, perturbed, window)
+            assert checks.diagonal_agrees(t, perturbed, window) == expected
+            verdicts.append(expected)
+    assert True in verdicts and False in verdicts

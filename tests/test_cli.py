@@ -419,3 +419,25 @@ def test_word_length_bound_follows_the_source():
     assert cli._max_word_len(NumericalSemigroup([2, 3])) == 8
     assert cli._max_word_len(NumericalSemigroup([1])) == 15
     assert cli._max_word_len(NumericalSemigroup([3, 5, 7])) == 6
+
+
+def test_scalars_past_the_float_range_are_input_errors(capsys):
+    # A 401-digit scalar is exact until the float layer converts it.
+    big = "1" + "0" * 400
+    for argv in (("norm", "--gens", "1", "--expr", f"{big}*T(1)", "--dim", "4"),
+                 ("convolve", "--gens", "2,3", "--functional", f"pm({big})",
+                  "--functional", "haar", "--expr", "T(2)")):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert (code, doc["schema"], doc["error"]["kind"]) == (2, cli.SCHEMA, "input"), argv
+        assert "too large" in doc["error"]["message"]
+        assert captured.out.endswith("}\n") and captured.err.startswith("error: ")
+
+
+def test_only_ascii_digits_are_numbers(capsys):
+    # "²" is a digit to str.isdigit but not to int(): a syntax error at its offset.
+    code, out = run_cli(capsys, "eval", "--gens", "2,3", "--expr", "T(²)")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "input", "offset": 2, "message": "unexpected character '²' (at byte 2)"}

@@ -333,3 +333,54 @@ def test_offsets_route_matches_composition():
 def test_textual_form():
     assert str(elementary(S23, 3, True)) == "PT(-3; {3}; 5)"
     assert str(elementary(S23, 2, False)) == "PT(2; {}; 0)"
+
+
+# -- the (index, mask) form at large F --------------------------------------------
+
+# F = 1079 and F = 9799.
+LARGE_F = (NumericalSemigroup([31, 37]), NumericalSemigroup([99, 101]))
+
+
+def random_words(s, count, seed):
+    rng = random.Random(seed)
+    return [tuple((rng.choice(s.generators), rng.random() < 0.5)
+                  for _ in range(rng.randint(1, 8))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("s", LARGE_F, ids=str)
+def test_evaluate_word_matches_the_letter_by_letter_oracle_at_large_f(s):
+    members = s.members_upto(s.frobenius + 8 * max(s.generators))
+    for word in random_words(s, 40, 21):
+        v = evaluate_word(s, word)
+        assert all(v.apply(d) == word_action(s, word, d) for d in members), word
+
+
+@pytest.mark.parametrize("s", LARGE_F, ids=str)
+def test_equal_translations_are_equal_and_hash_equal_by_every_route(s):
+    for word in random_words(s, 40, 22):
+        v = evaluate_word(s, word)
+        folded = elementary(s, *word[0])
+        for a, starred in word[1:]:
+            folded = compose(folded, elementary(s, a, starred))
+        rebuilt = PartialTranslation(s, v.index, EventualSet(s, v.domain.excluded()))
+        routes = (folded, rebuilt, v.adjoint().adjoint(),
+                  compose(v, elementary(s, 0, False)), compose(elementary(s, 0, False), v))
+        for w in routes:
+            assert w == v and hash(w) == hash(v), word
+        # The widest translation of the index, by its own constructor and as T_a* T_b.
+        widest = max_translation(s, v.index)
+        a = s.frobenius + 1 + abs(v.index)  # a and a + index are members
+        for w in (compose(elementary(s, a, True), elementary(s, a + v.index, False)),
+                  PartialTranslation(s, v.index, EventualSet(s, widest.domain.excluded()))):
+            assert w == widest and hash(w) == hash(widest), word
+
+
+@pytest.mark.parametrize("s", LARGE_F, ids=str)
+def test_domain_view_lists_what_the_oracle_kills_and_keeps(s):
+    for word in random_words(s, 40, 23):
+        v = evaluate_word(s, word)
+        below = s.members_upto(v.domain.threshold - 1)
+        assert v.domain.excluded() == tuple(d for d in below if word_action(s, word, d) is None)
+        assert v.domain.members_below == tuple(
+            d for d in below if word_action(s, word, d) is not None)
+        assert v.domain.threshold == 0 or word_action(s, word, below[-1]) is None
