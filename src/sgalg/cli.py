@@ -26,9 +26,6 @@ SCHEMA = "sgalg-report/1"
 # Largest `sg norm --dim`: the truncation and its Gram matrix are dense, and
 # the Gram eigenvalues at this size take seconds on one core.
 MAX_DIM = 2048
-# The membership sieve, min*max of a generator list, is bounded by
-# exprparse.MAX_LETTERS: the semigroup is built by shifting an integer bitmask
-# of that many bits.
 # Largest word count, the sum of (2k)^l over lengths l up to --max-len for k
 # minimal generators of the source, that bounds an `sg morphism` search.
 MAX_WORDS = 100_000
@@ -45,6 +42,8 @@ def _gens(text: str, flag: str = "--gens") -> NumericalSemigroup:
     try:
         gens = [int(p) for p in text.split(",") if p.strip()]
         if gens:
+            # The semigroup is built by shifting an integer bitmask of
+            # min*max bits, so that sieve is held to exprparse.MAX_LETTERS.
             _at_most(f"{flag} min*max", min(gens) * max(gens), MAX_LETTERS)
         return NumericalSemigroup(gens)
     except ValueError as exc:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -22,20 +21,10 @@ from .quantum import FreeElement, coproduct, rep, tensor_of
 from .translations import elementary, evaluate_word
 
 
-@dataclass
-class TruncatedMatrix:
-    """Compression onto the span of the first N basis points of the semigroup."""
-    matrix: np.ndarray
-    legend: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.legend)
-
-
-def truncate(a: OperatorElement, n: int) -> TruncatedMatrix:
-    """Dense N-by-N compression; entry (i, j) moves basis point s_j to s_i.
-    It is float64 when every weight value is an exact real, else complex128."""
+def truncate(a: OperatorElement, n: int) -> np.ndarray:
+    """Dense N-by-N compression onto the span of the first N basis points of the
+    semigroup; entry (i, j) moves basis point s_j to s_i.  It is float64 when
+    every weight value is an exact real, else complex128."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     legend = tuple(a.semigroup.element_at(i) for i in range(n))
@@ -56,12 +45,12 @@ def truncate(a: OperatorElement, n: int) -> TruncatedMatrix:
         for d, v in w.exceptions.items():  # the keys are members
             if d <= top and row[position[d]] >= 0:
                 mat[row[position[d]], position[d]] = convert[v]
-    return TruncatedMatrix(mat, legend)
+    return mat
 
 
-def operator_norm(m: Union[TruncatedMatrix, np.ndarray]) -> float:
+def operator_norm(m: np.ndarray) -> float:
     """Largest singular value, as the root of the top eigenvalue of M^H M (one LAPACK call)."""
-    mat = m.matrix if isinstance(m, TruncatedMatrix) else np.asarray(m)
+    mat = np.asarray(m)
     mat = mat.astype(np.result_type(mat.dtype, np.float64), copy=False)
     return math.sqrt(max(0.0, float(np.linalg.eigvalsh(mat.conj().T @ mat)[-1])))
 
@@ -93,7 +82,7 @@ def norm_convergence(f: LaurentPolynomial, semigroup: NumericalSemigroup,
     """
     if list(dims) != sorted(dims):
         raise ValueError("dimensions must increase")
-    largest = truncate(toeplitz_lift(f, semigroup), dims[-1]).matrix
+    largest = truncate(toeplitz_lift(f, semigroup), dims[-1])
     values = [operator_norm(largest[:n, :n]) for n in dims]
     sup, sup_err = laurent_sup_norm(f, samples)
     monotone = all(b >= a - 1e-12 * max(1.0, a) for a, b in zip(values, values[1:]))

@@ -133,12 +133,6 @@ def tensor_multiply(s: FreeTensor, t: FreeTensor) -> FreeTensor:
     return s._product(t, pair_product)
 
 
-def tensor_adjoint(s: FreeTensor) -> FreeTensor:
-    return FreeTensor.collect(s.semigroup,
-                              (((v.adjoint(), w.adjoint()), c.conjugate())
-                               for (v, w), c in s.terms.items()))
-
-
 # -- weak Hopf structure -------------------------------------------------------
 
 
@@ -486,20 +480,3 @@ def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
         raise
     return None
 
-
-# -- exhaustive group-like survey -----------------------------------------------
-
-
-def group_like_survey(semigroup: NumericalSemigroup, max_word_len: int,
-                      coefficients: Sequence[GaussianRational]) -> set[int]:
-    """Indices detected as group-like among the short-word monomials.
-
-    The detector runs on every distinct monomial up to max_word_len words
-    long, times every pool coefficient.  A combination of several monomials
-    is never group-like: its tensor square has an off-diagonal entry that the
-    diagonal coproduct lacks.
-    """
-    monos = sorted(distinct_monomials(semigroup, max_word_len), key=_pt_sort_key)
-    detected = (group_like_detect(FreeElement(semigroup, {v: lam}))
-                for v in monos for lam in coefficients)
-    return {c for c in detected if c is not None}

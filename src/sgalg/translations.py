@@ -2,9 +2,8 @@
 
 Every finite product of the generating shifts and their adjoints acts on the
 standard basis as ``e_d -> e_{d+c}`` on a domain that misses only finitely
-many members, or kills the vector.  The pair (index, canonical domain) is a
-faithful normal form: two words are the same operator exactly when these
-agree.
+many members, or kills the vector.  The pair (index, domain) is a faithful
+normal form: two words are the same operator exactly when these agree.
 
 A domain is stored as the bitmask of the members it leaves out, so every
 domain operation here is a few shifts, ORs and ANDs of integers against the
@@ -36,114 +35,42 @@ def _leaving(s: NumericalSemigroup, t: int) -> int:
     return out & ~s.gapmask
 
 
-class EventualSet:
-    """Subset of a numerical semigroup containing every member above a threshold.
+class PartialTranslation:
+    """The map ``d -> d + index`` on a domain leaving out finitely many members.
 
-    Canonical form: ``mask`` has bit m set exactly for the members m left
-    out, so the threshold, the least value from which every member is kept,
-    is its bit length.  ``members_below`` lists the members kept below it.
-    Because the ambient semigroup is infinite, an eventual set is never empty.
+    Invariant: the domain and its translate both lie in the semigroup, so the
+    basis action e_d -> e_{d+index} (d in domain) lands on basis vectors.
+
+    The translation is the pair (index, mask): ``mask`` has bit m set exactly
+    for the members m the domain leaves out, so the threshold, the least value
+    from which every member is kept, is its bit length.  Because the
+    semigroup is infinite, the domain is never empty.
     """
 
-    __slots__ = ("semigroup", "mask", "_below")
+    __slots__ = ("semigroup", "index", "mask", "_hash")
 
-    def __init__(self, semigroup: NumericalSemigroup, excluded: Iterable[int]):
+    def __init__(self, semigroup: NumericalSemigroup, index: int, excluded: Iterable[int]):
         mask = 0
         for m in sorted(set(excluded)):
             if not semigroup.contains(m):
                 raise ValueError(f"excluded value {m} is not a member")
             mask |= 1 << m
-        self.semigroup, self.mask, self._below = semigroup, mask, None
-
-    @classmethod
-    def from_mask(cls, semigroup: NumericalSemigroup, mask: int) -> "EventualSet":
-        """The set leaving out the members in mask, which holds no gap."""
-        self = cls.__new__(cls)
-        self.semigroup, self.mask, self._below = semigroup, mask, None
-        return self
-
-    @classmethod
-    def full(cls, semigroup: NumericalSemigroup) -> "EventualSet":
-        return cls.from_mask(semigroup, 0)
-
-    @property
-    def threshold(self) -> int:
-        return self.mask.bit_length()
-
-    @property
-    def members_below(self) -> tuple[int, ...]:
-        if self._below is None:
-            kept = ((1 << self.threshold) - 1) & ~(self.semigroup.gapmask | self.mask)
-            self._below = tuple(bit_positions(kept))
-        return self._below
-
-    def contains(self, d: int) -> bool:
-        return self.semigroup.contains(d) and not ((self.mask >> d) & 1)
-
-    def excluded(self) -> tuple[int, ...]:
-        """Members of the semigroup missing from this set (always finite)."""
-        return tuple(bit_positions(self.mask))
-
-    @property
-    def is_full(self) -> bool:
-        return self.mask == 0
-
-    def intersect(self, other: "EventualSet") -> "EventualSet":
-        if self.semigroup != other.semigroup:
-            raise ValueError("eventual sets over different semigroups")
-        return EventualSet.from_mask(self.semigroup, self.mask | other.mask)
-
-    def __eq__(self, other):
-        if not isinstance(other, EventualSet):
-            return NotImplemented
-        return self.mask == other.mask and self.semigroup == other.semigroup
-
-    def __hash__(self):
-        return hash(self.mask)
-
-    def __str__(self):
-        inner = ",".join(str(m) for m in self.members_below)
-        return f"{{{inner}}}+[{self.threshold}..)"
-
-    def __repr__(self):
-        return f"EventualSet({self.semigroup!r}, excluded={list(self.excluded())!r})"
-
-
-class PartialTranslation:
-    """The map ``d -> d + index`` on an eventual domain inside the semigroup.
-
-    Invariant: the domain and its translate both lie in the semigroup, so the
-    basis action e_d -> e_{d+index} (d in domain) lands on basis vectors.
-
-    The translation is the pair (index, mask), where mask holds the members
-    the domain leaves out; ``domain`` is an ``EventualSet`` view of the mask,
-    built on first use.
-    """
-
-    __slots__ = ("semigroup", "index", "mask", "_domain", "_hash")
-
-    def __init__(self, semigroup: NumericalSemigroup, index: int, domain: EventualSet):
-        if domain.semigroup != semigroup:
-            raise ValueError("domain built over a different semigroup")
-        leaving = _leaving(semigroup, index) & ~domain.mask
+        leaving = _leaving(semigroup, index) & ~mask
         if leaving:
             d = (leaving & -leaving).bit_length() - 1
             raise ValueError(f"image of {d} under shift {index} leaves the semigroup")
-        self.semigroup, self.index, self.mask = semigroup, index, domain.mask
-        self._domain, self._hash = domain, None
+        self.semigroup, self.index, self.mask, self._hash = semigroup, index, mask, None
 
     @property
-    def domain(self) -> EventualSet:
-        if self._domain is None:
-            self._domain = EventualSet.from_mask(self.semigroup, self.mask)
-        return self._domain
+    def members_below(self) -> tuple[int, ...]:
+        """The members the domain keeps below its threshold."""
+        mask = self.mask
+        return tuple(bit_positions(((1 << mask.bit_length()) - 1)
+                                   & ~(self.semigroup.gapmask | mask)))
 
     @property
     def sort_key(self):
-        # No view is kept here: a sort reaches every translation a word search
-        # found, and a view kept on each raised the falsifier's peak memory.
-        domain = self._domain or EventualSet.from_mask(self.semigroup, self.mask)
-        return (self.index, self.mask.bit_length(), domain.members_below)
+        return (self.index, self.mask.bit_length(), self.members_below)
 
     def apply(self, d: int) -> Optional[int]:
         """Image of the basis point d, or None when the translation kills it."""
@@ -171,7 +98,7 @@ class PartialTranslation:
         return h
 
     def __str__(self):
-        members = ",".join(str(m) for m in self.domain.members_below)
+        members = ",".join(str(m) for m in self.members_below)
         return f"PT({self.index}; {{{members}}}; {self.mask.bit_length()})"
 
     def __repr__(self):
@@ -181,7 +108,7 @@ class PartialTranslation:
     def to_json_dict(self) -> dict:
         return {
             "index": self.index,
-            "members_below": list(self.domain.members_below),
+            "members_below": list(self.members_below),
             "threshold": self.mask.bit_length(),
         }
 
@@ -192,7 +119,7 @@ _new = object.__new__
 def _translation(s: NumericalSemigroup, index: int, mask: int) -> PartialTranslation:
     """The translation (index, mask), whose invariant the caller guarantees."""
     out = _new(PartialTranslation)
-    out.semigroup, out.index, out.mask, out._domain, out._hash = s, index, mask, None, None
+    out.semigroup, out.index, out.mask, out._hash = s, index, mask, None
     return out
 
 
@@ -222,9 +149,8 @@ def compose(v: PartialTranslation, w: PartialTranslation) -> PartialTranslation:
     t = w.index
     out = _new(PartialTranslation)
     # d is left out when w leaves it out or v leaves out d + t.
-    out.semigroup, out.index, out.mask, out._domain, out._hash = (
-        s, v.index + t, (w.mask | (v.mask >> t if t >= 0 else v.mask << -t)) & ~s.gapmask,
-        None, None)
+    out.semigroup, out.index, out.mask, out._hash = (
+        s, v.index + t, (w.mask | (v.mask >> t if t >= 0 else v.mask << -t)) & ~s.gapmask, None)
     return out
 
 
@@ -285,27 +211,10 @@ def word_action_mask(semigroup: NumericalSemigroup, word: Sequence[Letter],
     return _pullback(x, index), index
 
 
-def word_offsets(semigroup: NumericalSemigroup, word: Sequence[Letter]) -> list[int]:
-    """Offsets t such that the word's domain is {d : d + t is a member, all t}.
-
-    Each starred letter contributes suffix-index-minus-letter; derived purely
-    from word arithmetic (second independent route to domains).
-    """
-    offsets = []
-    suffix = 0
-    for a, starred in reversed(list(word)):
-        if starred:
-            offsets.append(suffix - a)
-            suffix -= a
-        else:
-            suffix += a
-    return offsets
-
-
 def pt_from_offsets(semigroup: NumericalSemigroup, index: int,
                     offsets: Iterable[int]) -> PartialTranslation:
     """Translation with domain cut out by membership constraints d + t."""
     mask = 0
     for t in set(offsets):
         mask |= _leaving(semigroup, t)
-    return PartialTranslation(semigroup, index, EventualSet.from_mask(semigroup, mask))
+    return PartialTranslation(semigroup, index, bit_positions(mask))

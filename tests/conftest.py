@@ -16,6 +16,37 @@ from sgalg.quantum import (FreeElement, MorphismWitness, coproduct, distinct_mon
                            first_words, group_like_detect, letters_of, monomial_kernel, rep)
 
 
+def word_offsets(semigroup, word) -> list[int]:
+    """Offsets t such that the word's domain is {d : d + t is a member, all t}.
+
+    Each starred letter contributes suffix-index-minus-letter; derived purely
+    from word arithmetic (second independent route to domains).
+    """
+    offsets = []
+    suffix = 0
+    for a, starred in reversed(list(word)):
+        if starred:
+            offsets.append(suffix - a)
+            suffix -= a
+        else:
+            suffix += a
+    return offsets
+
+
+def group_like_survey(semigroup, max_word_len, coefficients) -> set[int]:
+    """Indices detected as group-like among the short-word monomials.
+
+    The detector runs on every distinct monomial up to max_word_len words
+    long, times every pool coefficient.  A combination of several monomials
+    is never group-like: its tensor square has an off-diagonal entry that the
+    diagonal coproduct lacks.
+    """
+    monos = sorted(distinct_monomials(semigroup, max_word_len), key=lambda v: v.sort_key)
+    detected = (group_like_detect(FreeElement(semigroup, {v: lam}))
+                for v in monos for lam in coefficients)
+    return {c for c in detected if c is not None}
+
+
 def group_like_invariants_hold(semigroup, max_word_len, coefficients, max_terms,
                                detect_stride=37) -> bool:
     """What the group-like survey's answer rests on, over its short-word monomials.
@@ -30,7 +61,7 @@ def group_like_invariants_hold(semigroup, max_word_len, coefficients, max_terms,
     for v in monos:
         for lam in coefficients:
             if group_like_detect(FreeElement(semigroup, {v: lam})) is not None:
-                if lam != ONE or not v.domain.is_full:
+                if lam != ONE or v.mask:
                     return False
     for k in range(2, max_terms + 1):
         for i, vs in enumerate(itertools.combinations(monos, k)):

@@ -9,9 +9,9 @@ import sys
 
 from sgalg.scalars import GaussianRational, ONE
 from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
-from sgalg.translations import evaluate_word, word_offsets
-from sgalg.quantum import (FreeElement, coproduct, descent_witness,
-                           group_like_survey, rep)
+from conftest import group_like_survey, word_offsets
+from sgalg.translations import evaluate_word
+from sgalg.quantum import FreeElement, coproduct, descent_witness, rep
 from sgalg.checks import (morphism_report, suite_coideal, suite_descent,
                           suite_fourier, suite_grading, suite_haar,
                           suite_inverse, suite_norms, suite_shift37,

@@ -16,8 +16,7 @@ from sgalg.operators import OperatorElement
 from sgalg.quantum import FreeElement, coproduct
 from sgalg.scalars import ONE, GaussianRational
 from sgalg.semigroup import NumericalSemigroup
-from sgalg.translations import (EventualSet, PartialTranslation, evaluate_word,
-                                word_action)
+from sgalg.translations import PartialTranslation, evaluate_word, word_action
 
 from conftest import pointwise_diagonal
 
@@ -52,7 +51,7 @@ def free_element_of(s, items) -> FreeElement:
     for coeff, pt in items:
         excluded = [m for m in s.members_upto(pt["threshold"] - 1)
                     if m not in pt["members_below"]]
-        terms[PartialTranslation(s, pt["index"], EventualSet(s, excluded))] = scalar_of(coeff)
+        terms[PartialTranslation(s, pt["index"], excluded)] = scalar_of(coeff)
     return FreeElement(s, terms)
 
 
@@ -229,7 +228,7 @@ def test_coideal_checks_the_nested_loop_pairs_in_order(monkeypatch, gens, count)
 def descent_probes(s):
     """suite_descent's window and diagonal probes at seed 0."""
     rng = checks._rng("descent", s, 0)
-    window = max([10] + [v.domain.threshold + 2 for v in quantum.distinct_monomials(s, 6)])
+    window = max([10] + [v.mask.bit_length() + 2 for v in quantum.distinct_monomials(s, 6)])
     return window, [checks.random_free_element(rng, s, max_terms=4, max_word_len=4)
                     for _ in range(60)]
 

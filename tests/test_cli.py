@@ -90,11 +90,17 @@ LARGE_F_EXPR = "T(31)*T*(37)*T(31) - 2*T*(31)*T(37) + 1/2*I"
     ("symbol_s1113_seed0", 0, ("check", "--suite", "symbol", "--gens", "11,13")),
     ("fourier_s3137_seed0", 0, ("check", "--suite", "fourier", "--gens", "31,37")),
 ] + [(f"{suite}_s37_seed0", 0, ("check", "--gens", "3,7", "--suite", suite, "--seed", "0"))
-     for suite in ("inverse", "grading", "weakhopf", "haar", "coideal")])
+     for suite in ("inverse", "grading", "weakhopf", "haar", "coideal")] + [
+    ("eval_s99101_basis8", 0, ("eval", "--gens", "99,101", "--expr",
+                               "T*(99)*T(101)*T*(101) + 1/2*T(99)", "--basis", "8")),
+    ("coproduct_s37_pairs12", 0, ("coproduct", "--gens", "3,7", "--expr",
+                                  "T*(3)*T(7) - T(3)", "--pairs", "12")),
+])
 def test_falsifier_and_descent_bytes(capsys, name, code, argv):
     # Every word and combination witness, every kernel dimension, the
-    # operator reports and suites at F = 119 and F = 1079, and the suites over
-    # the exact layer's sums and products at F = 11, byte for byte.
+    # operator reports and suites at F = 119 and F = 1079, the suites over
+    # the exact layer's sums and products at F = 11, and the members kept
+    # below long masks (F = 9799) and in pair tables, byte for byte.
     expected = (Path(__file__).parent / "reports" / f"{name}.out").read_text()
     assert run_cli(capsys, *argv) == (code, expected)
 

@@ -23,9 +23,9 @@ Z = NumericalSemigroup([1])
 
 
 def test_truncate_identity():
-    t = truncate(OperatorElement.identity(S23), 4)
-    assert t.legend == (0, 2, 3, 4)
-    assert np.allclose(t.matrix, np.eye(4))
+    # Row and column i stand for the basis point s_i.
+    assert [S23.element_at(i) for i in range(4)] == [0, 2, 3, 4]
+    assert np.allclose(truncate(OperatorElement.identity(S23), 4), np.eye(4))
 
 
 def test_truncate_shift_pattern():
@@ -34,7 +34,7 @@ def test_truncate_shift_pattern():
     expect = np.zeros((4, 4), dtype=complex)
     expect[1, 0] = 1.0   # 0 -> 2
     expect[3, 1] = 1.0   # 2 -> 4
-    assert np.allclose(t.matrix, expect)
+    assert np.allclose(t, expect)
 
 
 def test_truncate_rank_one():
@@ -43,7 +43,7 @@ def test_truncate_rank_one():
     t = truncate(p0, 5)
     expect = np.zeros((5, 5))
     expect[0, 0] = 1.0
-    assert np.allclose(t.matrix, expect)
+    assert np.allclose(t, expect)
 
 
 def test_truncate_columns_match_action():
@@ -59,13 +59,14 @@ def test_truncate_columns_match_action():
             a = rep(x)
             n = 12
             t = truncate(a, n)
-            pos = {m: i for i, m in enumerate(t.legend)}
-            for j, sj in enumerate(t.legend):
+            legend = [s.element_at(i) for i in range(n)]
+            pos = {m: i for i, m in enumerate(legend)}
+            for j, sj in enumerate(legend):
                 col = {m: v for m, v in a.apply(sj).items() if m in pos}
                 expect = np.zeros(n, dtype=complex)
                 for m, v in col.items():
                     expect[pos[m]] = v.to_complex()
-                assert np.allclose(t.matrix[:, j], expect)
+                assert np.allclose(t[:, j], expect)
 
 
 def test_truncate_matches_dense_reference():
@@ -88,8 +89,8 @@ def test_truncate_matches_dense_reference():
             real = all(type(v) is GaussianRational and v.im == 0 for v in values)
             for n in (1, 9, 40):
                 t = truncate(a, n)
-                assert t.matrix.dtype == (np.float64 if real else np.complex128)
-                assert (t.matrix == dense_truncate(a, n)).all()
+                assert t.dtype == (np.float64 if real else np.complex128)
+                assert (t == dense_truncate(a, n)).all()
 
 
 def _svd_norm(mat):
@@ -107,7 +108,7 @@ def test_operator_norm_matches_svd():
         assert abs(operator_norm(mat) - sigma) <= 1e-13 * max(1.0, sigma)
     for s in (Z, S23):
         for f in default_norm_symbols():
-            largest = truncate(toeplitz_lift(f, s), 512).matrix
+            largest = truncate(toeplitz_lift(f, s), 512)
             for n in (64, 128, 256, 512):
                 sigma = _svd_norm(largest[:n, :n])
                 assert abs(operator_norm(largest[:n, :n]) - sigma) <= 1e-13 * max(1.0, sigma)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (operator_coordinates, pairwise_descent_witness,
-                      pairwise_morphism_falsify)
+from conftest import (group_like_survey, operator_coordinates,
+                      pairwise_descent_witness, pairwise_morphism_falsify)
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
 from sgalg.translations import compose, elementary, evaluate_word, max_translation
@@ -15,13 +15,18 @@ from sgalg.quantum import (FreeElement, FreeTensor, coaction_fixed,
                            coideal_decomposition, coproduct, corner_diagram_check,
                            delta_coaction, descent_witness, distinct_monomials,
                            enumerate_words, exact_nullspace, group_like_detect,
-                           group_like_survey, monomial_kernel,
-                           quantum_morphism_falsify, rep, tensor_adjoint,
+                           monomial_kernel, quantum_morphism_falsify, rep,
                            tensor_multiply, tensor_of, weak_antipode,
                            weak_hopf_check)
 
 S23 = NumericalSemigroup([2, 3])
 Z = NumericalSemigroup([1])
+
+
+def tensor_adjoint(s: FreeTensor) -> FreeTensor:
+    return FreeTensor.collect(s.semigroup,
+                              (((v.adjoint(), w.adjoint()), c.conjugate())
+                               for (v, w), c in s.terms.items()))
 
 
 def mono(s, *letters):
@@ -312,7 +317,7 @@ def test_descent_witness_matches_the_pairwise_reference(gens):
     # suite_descent uses: same pair, same values in the same order.
     s = NumericalSemigroup(gens)
     monos = sorted(distinct_monomials(s, 6), key=lambda v: v.sort_key)
-    window = max([10] + [v.domain.threshold + 2 for v in monos])
+    window = max([10] + [v.mask.bit_length() + 2 for v in monos])
     kernel = list(monomial_kernel(monos))
     assert kernel
     for vec in kernel:
