@@ -12,8 +12,8 @@ from .semigroup import (NumericalSemigroup, automorphism_multipliers,
                         morphism_multipliers)
 from .translations import (PartialTranslation, compose, elementary, evaluate_word,
                            max_translation, word_action)
-from .operators import (EventualWeight, LaurentPolynomial, OperatorElement,
-                        from_monomial, generator_commutator, toeplitz_lift)
+from .operators import (LaurentPolynomial, OperatorElement, from_monomial,
+                        generator_commutator, toeplitz_lift)
 from .quantum import (FreeElement, FreeTensor, coaction_fixed,
                       coideal_decomposition, coproduct, corner_diagram_check,
                       delta_coaction, descent_witness, distinct_monomials,

@@ -426,13 +426,13 @@ def diagonal_agrees(t: quantum.FreeTensor, op: OperatorElement, window: int) -> 
     of the class's coefficients and op its tail, so one of them decides all;
     the other points are compared one by one.
     """
-    classes: dict[tuple[int, int], list] = {(c, c): [] for c in op.components}
+    weights = op.weights()
+    classes: dict[tuple[int, int], list] = {(c, c): [] for c in weights}
     for (v, w), coeff in t.terms.items():
         classes.setdefault((v.index, w.index), []).append((v.mask | w.mask, coeff))
     members = ((2 << window) - 1) & ~t.semigroup.gapmask
     for (i, j), terms in classes.items():
-        weight = op.components.get(i) if i == j else None
-        tail, exceptions = (weight.tail, weight.exceptions) if weight else (ZERO, {})
+        tail, exceptions = weights.get(i, (ZERO, {})) if i == j else (ZERO, {})
         varying = sum(1 << d for d in exceptions)
         for mask, _coeff in terms:
             varying |= mask
@@ -558,7 +558,7 @@ def suite_haar(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
                 ([p_rank_one], lambda x: fns.evaluate(h, x) == ONE), tolerance=1e-10),
         _forall("the absorbing state factors through the operator weight at zero",
                 {"semigroup": str(s), "elements": len(corpus)},
-                (corpus, lambda x: fns.evaluate(h, x) == rep(x).weight_at(0).value(0))),
+                (corpus, lambda x: fns.evaluate(h, x) == rep(x).apply(0).get(0, ZERO))),
         _forall("point-mass convolution adds angles",
                 {"semigroup": str(s), "samples": 120, "seed": seed},
                 (((Fraction(rng.randrange(-8, 9), rng.randrange(1, 11)),

@@ -100,11 +100,13 @@ def cmd_eval(args) -> int:
     doc = _base("eval", generators=list(s.generators), expr=args.expr,
                 free_terms=x.to_json_list(), operator=op.to_json_dict())
     if args.basis:
+        # op.apply(d) from weights listed once in index order: sorted, no scan per point
+        weights = op.weights().items()
         table = []
         for i in range(args.basis):
             d = s.element_at(i)
-            image = op.apply(d)
-            table.append([d, [[m, str(v)] for m, v in sorted(image.items())]])
+            image = ((d + c, exceptions.get(d, tail)) for c, (tail, exceptions) in weights)
+            table.append([d, [[m, str(v)] for m, v in image if v]])
         doc["basis_action"] = table
     _emit(doc)
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .scalars import GaussianRational
 from .semigroup import NumericalSemigroup
-from .operators import LaurentPolynomial, OperatorElement, toeplitz_lift
+from .operators import LaurentPolynomial, OperatorElement, term_values, toeplitz_lift
 from .quantum import FreeElement, coproduct, rep, tensor_of
 from .translations import elementary, evaluate_word
 
@@ -28,23 +28,25 @@ def truncate(a: OperatorElement, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("dimension must be at least 1")
     legend = tuple(a.semigroup.element_at(i) for i in range(n))
-    values = [v for w in a.components.values() for v in (w.tail, *w.exceptions.values())]
-    real = all(type(v) is GaussianRational and not v.im for v in values)
-    # each distinct value converted once, to the complex() the entries always held
-    convert = {v: complex(v).real if real else complex(v) for v in values}
+    values = term_values(a)
+    real = all(type(v) is GaussianRational and not v.im for v in values.values())
     mat = np.zeros((n, n), dtype=np.float64 if real else np.complex128)
     members, top = np.array(legend), legend[-1]
     position = np.full(top + 1, -1)
     position[members] = np.arange(n)
-    for c, w in a.components.items():
-        # row[j]: the position of s_j + c, or -1 outside the window
-        target = members + c
-        row = np.where((target >= 0) & (target <= top), position[np.clip(target, 0, top)], -1)
-        cols = np.flatnonzero(row >= 0)
-        mat[row[cols], cols] = convert[w.tail]
-        for d, v in w.exceptions.items():  # the keys are members
-            if d <= top and row[position[d]] >= 0:
-                mat[row[position[d]], position[d]] = convert[v]
+    # M_c's rows first, then the units on them
+    for (c, d), v in sorted(values.items(), key=lambda kv: kv[0][1] is not None):
+        # each value converted once, to the complex() the entries always held
+        entry = complex(v).real if real else complex(v)
+        if d is None:
+            # row[j]: the position of s_j + c, or -1 outside the window
+            target = members + c
+            row = np.where((target >= 0) & (target <= top),
+                           position[np.clip(target, 0, top)], -1)
+            cols = np.flatnonzero(row >= 0)
+            mat[row[cols], cols] = entry
+        elif d <= top and d + c <= top:  # d and d + c are members
+            mat[position[d + c], position[d]] = entry
     return mat
 
 

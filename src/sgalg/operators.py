@@ -15,50 +15,15 @@ are linearly dependent for non-totally-ordered semigroups, so this form
 
 Coefficients are exact Gaussian rationals or complex floats; the float layer
 (gauge twists, Fourier projection) uses the same elements with complex
-coefficients, and their symbols have complex coefficients.  ``components``
-reads an element as one eventually constant weight per index.
+coefficients, and their symbols have complex coefficients.  ``weights``
+lists an element as one eventually constant weight per index.
 """
 
 from __future__ import annotations
 
-from .scalars import Combination, GaussianRational, ONE, ZERO, as_scalar
+from .scalars import Combination, GaussianRational, ONE, ZERO
 from .semigroup import NumericalSemigroup, bit_positions
 from .translations import PartialTranslation, _leaving, elementary
-
-
-class EventualWeight:
-    """Weight function on the semigroup, constant above a minimal threshold.
-
-    Stored as the constant tail value plus the finitely many members where
-    the value differs from it.  A weight with a complex value is all complex.
-    Read-only: ``OperatorElement.components`` builds one per index.
-    """
-
-    __slots__ = ("exceptions", "tail")
-
-    def __init__(self, exceptions: dict, tail):
-        if isinstance(tail, complex) or any(isinstance(v, complex)
-                                            for v in exceptions.values()):
-            tail = complex(tail)
-            exceptions = {d: complex(v) for d, v in exceptions.items()}
-        tail = as_scalar(tail)
-        self.exceptions = {d: v if type(v) is GaussianRational else as_scalar(v)
-                           for d, v in exceptions.items() if v != tail}
-        self.tail = tail
-
-    @property
-    def threshold(self) -> int:
-        return max(self.exceptions) + 1 if self.exceptions else 0
-
-    def value(self, d: int):
-        return self.exceptions.get(d, self.tail)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.tail and not self.exceptions
-
-    def __repr__(self):
-        return f"EventualWeight({self.exceptions!r}, tail={self.tail!r})"
 
 
 class LaurentPolynomial(Combination):
@@ -111,7 +76,7 @@ class OperatorElement(Combination):
     ``(c, d)`` (the unit e_d -> e_{d+c}) to coefficients.
     """
 
-    __slots__ = ("_weights",)
+    __slots__ = ()
 
     def __init__(self, semigroup: NumericalSemigroup, terms: dict):
         for c, d in terms:
@@ -134,27 +99,18 @@ class OperatorElement(Combination):
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted({c for c, _d in self.terms}))
 
-    @property
-    def components(self) -> dict[int, EventualWeight]:
-        """The weight of each index, in increasing index order; built once."""
-        weights = getattr(self, "_weights", None)
-        if weights is None:
-            tail_pairs, unit_pairs = _parts(self)
-            tails, units = dict(tail_pairs), {}
-            for (c, d), v in unit_pairs:
-                units.setdefault(c, {})[d] = v
-            weights = {}
-            for c in sorted(tails.keys() | units.keys()):
-                m = tails.get(c, 0)
-                # M_c is zero on the members it would send out of the semigroup.
-                values = dict.fromkeys(bit_positions(_leaving(self.semigroup, c)), 0) if m else {}
-                values.update((d, m + u) for d, u in units.get(c, {}).items())
-                weights[c] = EventualWeight(values, m)
-            self._weights = weights
-        return weights
-
-    def weight_at(self, c: int) -> EventualWeight:
-        return self.components.get(c, EventualWeight({}, ZERO))
+    def weights(self) -> dict[int, tuple]:
+        """Each index's weight as (tail, exceptions), in increasing index order:
+        the tail is M_c's coefficient m, the exceptions are zero where M_c leaves
+        the semigroup and m + u at each unit u.  Built on each call."""
+        s = self.semigroup
+        tails, units = _parts(self)
+        weights = {c: (m, dict.fromkeys(bit_positions(_leaving(s, c)), ZERO))
+                   for c, m in tails}
+        for (c, d), u in units:
+            m, exceptions = weights.setdefault(c, (ZERO, {}))
+            exceptions[d] = m + u
+        return dict(sorted(weights.items()))
 
     # -- algebra -------------------------------------------------------------
 
@@ -204,14 +160,15 @@ class OperatorElement(Combination):
 
     def apply(self, d: int) -> dict:
         """Coefficients of the image of basis point d; empty when killed."""
-        if not self.semigroup.contains(d):
+        member = self.semigroup.contains
+        if not member(d):
             raise ValueError(f"{d} is not a member")
         out = {}
-        for c, w in self.components.items():
-            v = w.value(d)
-            if v:
-                out[d + c] = v
-        return out
+        for (c, e), v in self.terms.items():
+            # M_c moves d wherever d + c is a member; the unit (c, e) only e.
+            if e == d or e is None and member(d + c):
+                out[d + c] = out[d + c] + v if d + c in out else v
+        return {m: v for m, v in out.items() if v}
 
     # -- grading ----------------------------------------------------------------
 
@@ -228,7 +185,9 @@ class OperatorElement(Combination):
 
     def stabilization_threshold(self) -> int:
         """Least N with conjugate(e) equal to the lifted symbol for all members e >= N."""
-        return max((w.threshold for w in self.components.values()), default=0)
+        s = self.semigroup
+        return max((_leaving(s, c).bit_length() if d is None else d + 1
+                    for c, d in self.terms), default=0)
 
     def conjugate(self, e: int) -> "OperatorElement":
         """Shift conjugation T_e* A T_e: fixes each M_c, moves each unit down by e."""
@@ -256,13 +215,7 @@ class OperatorElement(Combination):
 
     def deviation_from(self, other: "OperatorElement") -> float:
         """Max absolute weight difference over all indices and members."""
-        dev = 0.0
-        for c in self.components.keys() | other.components.keys():
-            wa, wb = self.weight_at(c), other.weight_at(c)
-            dev = max(dev, abs(wa.tail - wb.tail))
-            for d in wa.exceptions.keys() | wb.exceptions.keys():
-                dev = max(dev, abs(wa.value(d) - wb.value(d)))
-        return dev
+        return max(map(abs, term_values(self - other).values()), default=0.0)
 
     # -- printing -------------------------------------------------------------------
 
@@ -270,9 +223,9 @@ class OperatorElement(Combination):
         if self.is_zero:
             return "0"
         parts = []
-        for c, w in self.components.items():
-            exc = ",".join(f"{d}:{v}" for d, v in sorted(w.exceptions.items()))
-            parts.append(f"[{c}] ({{{exc}}}, tail={w.tail}, N={w.threshold})")
+        for c, (tail, exceptions) in self.weights().items():
+            exc = ",".join(f"{d}:{v}" for d, v in sorted(exceptions.items()))
+            parts.append(f"[{c}] ({{{exc}}}, tail={tail}, N={max(exceptions, default=-1) + 1})")
         return "; ".join(parts)
 
     def __repr__(self):
@@ -281,10 +234,10 @@ class OperatorElement(Combination):
     def to_json_dict(self) -> dict:
         return {"components": [
             {"index": c,
-             "exceptions": [[d, str(v)] for d, v in sorted(w.exceptions.items())],
-             "tail": str(w.tail),
-             "threshold": w.threshold}
-            for c, w in self.components.items()]}
+             "exceptions": [[d, str(v)] for d, v in sorted(exceptions.items())],
+             "tail": str(tail),
+             "threshold": max(exceptions, default=-1) + 1}
+            for c, (tail, exceptions) in self.weights().items()]}
 
 
 def _parts(a: OperatorElement) -> tuple[list, list]:
@@ -297,6 +250,12 @@ def _parts(a: OperatorElement) -> tuple[list, list]:
         else:
             units.append(((c, d), v))
     return tails, units
+
+
+def term_values(a: OperatorElement) -> dict:
+    """The weight on each term: m on all of M_c's row, m + u at the unit (c, d)."""
+    tails = {c: m for (c, d), m in a.terms.items() if d is None}
+    return {(c, d): v if d is None else tails.get(c, 0) + v for (c, d), v in a.terms.items()}
 
 
 def monomial_terms(v: PartialTranslation, coeff) -> list:

@@ -172,16 +172,14 @@ def weak_hopf_check(x: FreeElement) -> WeakHopfResult:
 def group_like_detect(x: FreeElement) -> Optional[int]:
     """Index of the canonical isometric generator equal to x, if there is one.
 
-    Requires the coproduct of x to be exactly x (x) x and rep(x) to be an
-    isometry; those two force a single full-domain monomial with unit
-    coefficient, whose index is returned.
+    x is group-like (coproduct x (x) x) with an isometric image exactly when
+    it is one full-domain monomial with the exact coefficient 1.
     """
-    if x.is_zero or coproduct(x) != tensor_of(x, x):
-        return None
-    if not rep(x).is_isometry():
-        return None
-    (v,) = x.terms
-    return v.index
+    if len(x.terms) == 1:
+        ((v, coeff),) = x.terms.items()
+        if coeff == ONE and not v.mask:
+            return v.index
+    return None
 
 
 def coideal_decomposition(v: PartialTranslation, w: PartialTranslation

@@ -13,7 +13,8 @@ from sgalg.operators import from_monomial
 from sgalg.semigroup import morphism_multipliers
 from sgalg.translations import compose, elementary
 from sgalg.quantum import (FreeElement, MorphismWitness, coproduct, distinct_monomials,
-                           first_words, group_like_detect, letters_of, monomial_kernel, rep)
+                           first_words, group_like_detect, letters_of, monomial_kernel, rep,
+                           tensor_of)
 
 
 def word_offsets(semigroup, word) -> list[int]:
@@ -47,30 +48,34 @@ def group_like_survey(semigroup, max_word_len, coefficients) -> set[int]:
     return {c for c in detected if c is not None}
 
 
+def group_like_reference(x):
+    """quantum.group_like_detect's reference, by the definition: x is group-like
+    (its coproduct is x (x) x) and rep(x) is an isometry; then x is a single
+    monomial, whose index is returned."""
+    if x.is_zero or coproduct(x) != tensor_of(x, x):
+        return None
+    if not rep(x).is_isometry():
+        return None
+    (v,) = x.terms
+    return v.index
+
+
 def group_like_invariants_hold(semigroup, max_word_len, coefficients, max_terms,
                                detect_stride=37) -> bool:
-    """What the group-like survey's answer rests on, over its short-word monomials.
+    """Whether the group-like survey's detector answers as the definition does.
 
-    Only a unit-coefficient full-domain monomial is detected.  For a support
-    of several monomials the diagonal coproduct has no off-diagonal key while
-    the tensor square has one (its coefficient is a product of nonzero
-    scalars), so no such support is group-like; the detector itself runs on
-    every pair and on every detect_stride-th larger support.
+    The two routes are compared on every short-word monomial times every pool
+    coefficient, on every support of two monomials and on every
+    detect_stride-th larger support, each monomial with coefficient one.
     """
     monos = sorted(distinct_monomials(semigroup, max_word_len), key=lambda v: v.sort_key)
-    for v in monos:
-        for lam in coefficients:
-            if group_like_detect(FreeElement(semigroup, {v: lam})) is not None:
-                if lam != ONE or v.mask:
-                    return False
-    for k in range(2, max_terms + 1):
-        for i, vs in enumerate(itertools.combinations(monos, k)):
-            x = FreeElement(semigroup, {v: ONE for v in vs})
-            if (vs[0], vs[1]) in coproduct(x).terms:
-                return False
-            if (k == 2 or i % detect_stride == 0) and group_like_detect(x) is not None:
-                return False
-    return True
+    singles = (FreeElement(semigroup, {v: lam}) for v in monos for lam in coefficients)
+    supports = (FreeElement(semigroup, dict.fromkeys(vs, ONE))
+                for k in range(2, max_terms + 1)
+                for i, vs in enumerate(itertools.combinations(monos, k))
+                if k == 2 or i % detect_stride == 0)
+    return all(group_like_detect(x) == group_like_reference(x)
+               for x in itertools.chain(singles, supports))
 
 
 @pytest.fixture
@@ -116,23 +121,47 @@ def dense_nullspace(columns):
     return basis
 
 
+def reference_weights(a):
+    """OperatorElement.weights's reference: each index's (tail, exceptions) in
+    increasing index order, with the tail m the widest translation's coefficient,
+    zero at the members d that M_c sends out of the semigroup (found member by
+    member) and m + u at each unit."""
+    s = a.semigroup
+    tails, units = {}, {}
+    for (c, d), v in a.terms.items():
+        if d is None:
+            tails[c] = v
+        else:
+            units.setdefault(c, {})[d] = v
+    weights = {}
+    for c in sorted(tails.keys() | units.keys()):
+        m = tails.get(c, ZERO)
+        # every d + c at or past F + 1 is a member
+        values = {d: ZERO for d in s.members_upto(s.frobenius - c)
+                  if not s.contains(d + c)} if m else {}
+        values.update((d, m + u) for d, u in units.get(c, {}).items())
+        weights[c] = (m, values)
+    return weights
+
+
 def operator_coordinates(elements):
     """Faithful finite coordinates shared by a family of elements, sampled from
     the weights: each index's tail, and its value at every member below the
     largest threshold the family has at that index."""
+    weights = [reference_weights(el) for el in elements]
     window = {}
-    for el in elements:
-        for c, w in el.components.items():
-            window[c] = max(window.get(c, 0), w.threshold)
+    for w in weights:
+        for c, (_tail, exceptions) in w.items():
+            window[c] = max(window.get(c, 0), max(exceptions, default=-1) + 1)
     coords = []
-    for el in elements:
+    for el, w in zip(elements, weights):
         vec = {}
         for c, hi in window.items():
-            w = el.weight_at(c)
-            if not w.tail.is_zero:
-                vec[("tail", c)] = w.tail
+            tail, exceptions = w.get(c, (ZERO, {}))
+            if not tail.is_zero:
+                vec[("tail", c)] = tail
             for d in el.semigroup.members_upto(hi - 1):
-                v = w.value(d)
+                v = exceptions.get(d, tail)
                 if not v.is_zero:
                     vec[("at", c, d)] = v
         coords.append(vec)
@@ -187,16 +216,17 @@ def pointwise_diagonal(t, op, window):
 
 def dense_truncate(a, n):
     """numeric.truncate's reference: the complex128 compression built entry by
-    entry over the components and the legend, each entry complex(w.value(s_j))."""
+    entry over the reference weights and the legend, each entry the complex()
+    of the weight's value at s_j."""
     s = a.semigroup
     legend = tuple(s.element_at(i) for i in range(n))
     position = {m: i for i, m in enumerate(legend)}
     mat = np.zeros((n, n), dtype=np.complex128)
-    for c, w in a.components.items():
+    for c, (tail, exceptions) in reference_weights(a).items():
         for j, sj in enumerate(legend):
             i = position.get(sj + c)
             if i is not None:
-                mat[i, j] = complex(w.value(sj))
+                mat[i, j] = complex(exceptions.get(sj, tail))
     return mat
 
 

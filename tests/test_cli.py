@@ -79,7 +79,7 @@ def test_symbol_and_split_bytes(capsys):
 LARGE_F_EXPR = "T(31)*T*(37)*T(31) - 2*T*(31)*T(37) + 1/2*I"
 
 
-@pytest.mark.parametrize("name, code, argv", [
+GOLDENS = [
     ("morphism_s35_z_len7", 1, ("morphism", "--from", "3,5", "--to", "1", "--max-len", "7")),
     ("morphism_s345_s23_len5", 1,
      ("morphism", "--from", "3,4,5", "--to", "2,3", "--max-len", "5")),
@@ -95,12 +95,30 @@ LARGE_F_EXPR = "T(31)*T*(37)*T(31) - 2*T*(31)*T(37) + 1/2*I"
                                "T*(99)*T(101)*T*(101) + 1/2*T(99)", "--basis", "8")),
     ("coproduct_s37_pairs12", 0, ("coproduct", "--gens", "3,7", "--expr",
                                   "T*(3)*T(7) - T(3)", "--pairs", "12")),
-])
+    ("norm_s37_dim40", 0, ("norm", "--gens", "3,7", "--expr",
+                           "1/3*T(3)*T*(3) + 1/3*T*(3)*T(7) - 2/7*I", "--dim", "40")),
+]
+# Each case's id is its golden's name, so inserting a case renames no other.
+# The cases that had positional ids (name-code-argvN) before keep them.
+_POSITIONAL_IDS = {
+    "morphism_s35_z_len7": "1-argv0", "morphism_s345_s23_len5": "1-argv1",
+    "descent_s37_seed0": "0-argv2", "eval_s3137_basis40": "0-argv3",
+    "split_s3137": "0-argv4", "symbol_s1113_seed0": "0-argv5",
+    "fourier_s3137_seed0": "0-argv6", "inverse_s37_seed0": "0-argv7",
+    "grading_s37_seed0": "0-argv8", "weakhopf_s37_seed0": "0-argv9",
+    "haar_s37_seed0": "0-argv10", "coideal_s37_seed0": "0-argv11",
+    "eval_s99101_basis8": "0-argv12", "coproduct_s37_pairs12": "0-argv13"}
+
+
+@pytest.mark.parametrize("name, code, argv", GOLDENS, ids=[
+    f"{name}-{_POSITIONAL_IDS[name]}" if name in _POSITIONAL_IDS else name
+    for name, _code, _argv in GOLDENS])
 def test_falsifier_and_descent_bytes(capsys, name, code, argv):
     # Every word and combination witness, every kernel dimension, the
     # operator reports and suites at F = 119 and F = 1079, the suites over
-    # the exact layer's sums and products at F = 11, and the members kept
-    # below long masks (F = 9799) and in pair tables, byte for byte.
+    # the exact layer's sums and products at F = 11, the members kept below
+    # long masks (F = 9799) and in pair tables, and a truncation whose units
+    # change the widest translation's entries, byte for byte.
     expected = (Path(__file__).parent / "reports" / f"{name}.out").read_text()
     assert run_cli(capsys, *argv) == (code, expected)
 

@@ -45,7 +45,7 @@ def test_haar_on_monomials():
             x = x + mono(S23, *((rng.choice(S23.generators), rng.random() < 0.5)
                                 for _ in range(rng.randint(1, 4)))).scale(
                 rng.choice((ONE, GaussianRational(-2), GaussianRational(0, 1))))
-        assert fns.evaluate(h, x) == rep(x).weight_at(0).value(0)
+        assert fns.evaluate(h, x) == rep(x).apply(0).get(0, ZERO)
 
 
 def test_convolution_absorbing_cases():

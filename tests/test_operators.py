@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from sgalg.checks import random_word
-from sgalg.numeric import gauge_twist
+from conftest import dense_truncate, reference_weights
+from sgalg.checks import random_operator, random_word
+from sgalg.numeric import gauge_twist, truncate
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import compose, elementary, evaluate_word, max_translation
-from sgalg.operators import (EventualWeight, LaurentPolynomial, OperatorElement,
-                             from_monomial, generator_commutator, toeplitz_lift)
+from sgalg.operators import (LaurentPolynomial, OperatorElement, from_monomial,
+                             generator_commutator, toeplitz_lift)
 
 S23 = NumericalSemigroup([2, 3])
 Z = NumericalSemigroup([1])
@@ -40,23 +41,46 @@ def apply_oracle(terms, d, s):
 def test_from_monomial_examples():
     t2 = from_monomial(elementary(S23, 2, False))
     assert t2.indices() == (2,)
-    w = t2.weight_at(2)
-    assert w.tail == ONE and w.exceptions == {}
+    assert t2.weights() == {2: (ONE, {})}
 
     p = from_monomial(evaluate_word(S23, ((3, True), (2, False), (2, True), (3, False))))
-    w = p.weight_at(0)
-    assert w.tail == ONE and w.exceptions == {0: ZERO} and w.threshold == 1
+    assert p.weights() == {0: (ONE, {0: ZERO})} and p.stabilization_threshold() == 1
 
     m1 = from_monomial(max_translation(S23, 1))
-    w = m1.weight_at(1)
-    assert w.value(0) == ZERO and w.tail == ONE
+    assert m1.weights() == {1: (ONE, {0: ZERO})}
+    assert m1.apply(0) == {} and m1.apply(2) == {3: ONE}
 
 
-def test_weight_canonicalization():
-    w = EventualWeight({0: ONE, 2: ONE, 5: GaussianRational(3)}, ONE)
-    assert w.exceptions == {5: GaussianRational(3)}
-    assert w.threshold == 6
-    assert EventualWeight({4: ZERO}, ZERO).is_zero
+# Each semigroup with the number of random operators drawn over it.
+READER_LADDER = ((S23, 60), (NumericalSemigroup([3, 7]), 60),
+                 (NumericalSemigroup([31, 37]), 30), (NumericalSemigroup([99, 101]), 15))
+
+
+def test_readers_match_reference_weights():
+    # weights, apply, stabilization_threshold and truncate read the terms;
+    # the reference finds each weight's zeros member by member.  Products
+    # give units on indices that also carry a widest translation (m + u),
+    # and a gauge twist gives complex weights.
+    rng = random.Random(83)
+    for s, count in READER_LADDER:
+        for k in range(count):
+            a = random_operator(rng, s, max_terms=4, max_word_len=4)
+            a = a * random_operator(rng, s, max_terms=3, max_word_len=3) + a
+            if k % 5 == 4:
+                a = gauge_twist(a, 0.7)
+            ref = reference_weights(a)
+            weights = a.weights()
+            assert weights == ref and list(weights) == list(ref)
+            top = max((max(exc, default=-1) + 1 for _tail, exc in ref.values()), default=0)
+            assert a.stabilization_threshold() == top
+            points = {d for _tail, exc in ref.values() for d in exc}
+            points.update(s.members_upto(40))
+            points.update(s.first_member_at_least(top + i) for i in range(3))
+            for d in sorted(points):
+                assert a.apply(d) == {d + c: v for c, (tail, exc) in ref.items()
+                                      if (v := exc.get(d, tail))}
+            for n in (1, 24):
+                assert (truncate(a, n) == dense_truncate(a, n)).all()
 
 
 def test_support_condition_enforced():
@@ -76,8 +100,7 @@ def test_equality_is_operator_equality():
 def test_rank_one_projection_example():
     p0 = rank_one_at_zero()
     assert p0.indices() == (0,)
-    w = p0.weight_at(0)
-    assert w.exceptions == {0: ONE} and w.tail == ZERO
+    assert p0.weights() == {0: (ZERO, {0: ONE})}
     assert p0.apply(0) == {0: ONE}
     assert p0.apply(2) == {}
 

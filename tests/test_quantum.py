@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import (group_like_survey, operator_coordinates,
+from conftest import (group_like_reference, group_like_survey, operator_coordinates,
                       pairwise_descent_witness, pairwise_morphism_falsify)
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
@@ -257,6 +258,24 @@ def test_group_like_examples():
     assert group_like_detect(two_terms) is None
     assert group_like_detect(mono(S23, (2, False)).scale(2)) is None
     assert group_like_detect(FreeElement.identity(S23)) == 0
+
+
+def test_group_like_detect_matches_the_definition():
+    # The rule read from the terms against coproduct x (x) x plus an isometric
+    # image: monomials times exact, complex-one and imaginary coefficients,
+    # pairs, and zero.  A complex 1+0j is never the exact one.
+    pool = checks._COEFF_POOL + (1 + 0j, 2j)
+    for s, length in ((Z, 4), (S23, 4), (NumericalSemigroup([3, 7]), 3),
+                      (NumericalSemigroup([11, 13]), 2)):
+        monos = sorted(distinct_monomials(s, length), key=lambda v: v.sort_key)
+        cases = [FreeElement(s, {v: lam}) for v in monos for lam in pool]
+        cases += [FreeElement(s, {v: ONE, w: ONE}) for v, w in itertools.combinations(monos, 2)]
+        cases.append(FreeElement.zero(s))
+        answers = [group_like_detect(x) for x in cases]
+        assert answers == [group_like_reference(x) for x in cases]
+        assert any(c is not None for c in answers)
+    shift = FreeElement.monomial(elementary(S23, 3, False))
+    assert group_like_detect(shift) == 3 and group_like_detect(shift.scale(1 + 0j)) is None
 
 
 def test_group_like_survey_small(group_like_invariants):
