@@ -14,19 +14,16 @@ from .translations import (PartialTranslation, compose, elementary, evaluate_wor
                            max_translation, word_action)
 from .operators import (LaurentPolynomial, OperatorElement, from_monomial,
                         generator_commutator, toeplitz_lift)
-from .quantum import (FreeElement, FreeTensor, coaction_fixed,
-                      coideal_decomposition, coproduct, corner_diagram_check,
-                      delta_coaction, descent_witness, distinct_monomials,
+from .quantum import (FreeElement, FreeTensor, coideal_decomposition, coproduct,
+                      corner_diagram_check, descent_witness, distinct_monomials,
                       enumerate_words, group_like_detect,
                       quantum_morphism_falsify, rep, tensor_multiply, tensor_of,
                       weak_antipode, weak_hopf_check)
 from .functionals import (Convolution, LinCombo, MatrixCoeff, SymbolPointMass,
-                          convolve, evaluate, haar, haar_property_check,
-                          lin_combo, measure_convolution_check, phi_star,
+                          convolve, evaluate, haar, lin_combo, phi_star,
                           point_mass)
 from .numeric import (fourier_project, gauge_twist, laurent_sup_norm,
-                      norm_convergence, operator_norm, shift_example_check,
-                      truncate)
+                      operator_norm, truncate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -110,27 +110,3 @@ def evaluate(xi: Functional, x: FreeElement) -> Scalar:
         if not s.contains(xi.a) or not s.contains(xi.b):
             raise ValueError("matrix coefficient against non-members")
     return sum((c * eval_on_monomial(xi, v) for v, c in x.terms.items()), ZERO)
-
-
-def _scalars_close(a: Scalar, b: Scalar, tol: float) -> bool:
-    if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-        return a == b
-    return abs(a - b) <= tol
-
-
-def haar_property_check(phi: Functional, x: FreeElement, tol: float = 1e-12) -> bool:
-    """Absorbing law through the identity coefficient, both product orders."""
-    h = haar()
-    phi_at_identity = evaluate(phi, FreeElement.identity(x.semigroup))
-    expected = phi_at_identity * evaluate(h, x)
-    left = evaluate(convolve(h, phi), x)
-    right = evaluate(convolve(phi, h), x)
-    return _scalars_close(left, expected, tol) and _scalars_close(right, expected, tol)
-
-
-def measure_convolution_check(alpha, beta, x: FreeElement, tol: float = 1e-10) -> bool:
-    """Point-mass convolution agrees with the point mass at the summed angle."""
-    pa, pb = point_mass(alpha), point_mass(beta)
-    lhs = evaluate(convolve(pa, pb), x)
-    rhs = evaluate(point_mass(Fraction(alpha) + Fraction(beta)), x)
-    return _scalars_close(lhs, rhs, tol)

@@ -21,7 +21,7 @@ lists an element as one eventually constant weight per index.
 
 from __future__ import annotations
 
-from .scalars import Combination, GaussianRational, ONE, ZERO
+from .scalars import Combination, ONE, ZERO
 from .semigroup import NumericalSemigroup, bit_positions
 from .translations import PartialTranslation, _leaving, elementary
 
@@ -36,16 +36,6 @@ class LaurentPolynomial(Combination):
 
     def __init__(self, terms: dict):
         super().__init__(None, terms)
-
-    @classmethod
-    def character(cls, c: int, coeff=1) -> "LaurentPolynomial":
-        return cls({c: coeff})
-
-    def coefficient(self, c: int) -> GaussianRational:
-        return self.terms.get(c, ZERO)
-
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(sorted(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):

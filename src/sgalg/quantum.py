@@ -18,7 +18,7 @@ from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .scalars import Combination, GaussianRational, ONE, ZERO
 from .semigroup import NumericalSemigroup, bit_positions, morphism_multipliers
-from .operators import LaurentPolynomial, OperatorElement, from_monomial, monomial_terms
+from .operators import OperatorElement, from_monomial, monomial_terms
 from .translations import (Letter, PartialTranslation, Word, compose, elementary,
                            evaluate_word)
 
@@ -142,15 +142,7 @@ def weak_antipode(x: FreeElement) -> FreeElement:
                                ((v.adjoint(), c) for v, c in x.terms.items()))
 
 
-@dataclass
-class WeakHopfResult:
-    passed: bool
-    identity_side: FreeElement
-    antipode_side: FreeElement
-    witness: Optional[PartialTranslation]
-
-
-def weak_hopf_check(x: FreeElement) -> WeakHopfResult:
+def weak_hopf_check(x: FreeElement) -> bool:
     """Both antipode axioms, folded over the triple coproduct V (x) V (x) V."""
     s = x.semigroup
     triples = [(v, v.adjoint(), c) for v, c in x.terms.items()]
@@ -158,15 +150,7 @@ def weak_hopf_check(x: FreeElement) -> WeakHopfResult:
                                      for v, vs, c in triples))
     lhs_t = FreeElement.collect(s, ((compose(compose(vs, v), vs), c)
                                     for v, vs, c in triples))
-
-    expect_t = weak_antipode(x)
-    ok = (lhs_id == x) and (lhs_t == expect_t)
-    witness = None
-    if not ok:
-        bad = (lhs_id - x) + (lhs_t - expect_t)
-        if bad.terms:
-            witness = bad.support()[0]
-    return WeakHopfResult(ok, lhs_id, lhs_t, witness)
+    return lhs_id == x and lhs_t == weak_antipode(x)
 
 
 def group_like_detect(x: FreeElement) -> Optional[int]:
@@ -183,35 +167,14 @@ def group_like_detect(x: FreeElement) -> Optional[int]:
 
 
 def coideal_decomposition(v: PartialTranslation, w: PartialTranslation
-                          ) -> tuple[FreeTensor, FreeTensor, bool]:
-    """The two-summand expansion of the coproduct of a commutator.
-
-    Returns (first summand, second summand, identity-verified flag) for
-    D(vw - wv) = (vw - wv) (x) vw + wv (x) (vw - wv).
+                          ) -> tuple[FreeElement, FreeTensor, FreeTensor]:
+    """The commutator vw - wv and the two summands of its coproduct's expansion
+    D(vw - wv) = (vw - wv) (x) vw + wv (x) (vw - wv), as (commutator, first, second).
     """
-    s = v.semigroup
     vw = FreeElement.monomial(compose(v, w))
     wv = FreeElement.monomial(compose(w, v))
     comm = vw - wv
-    s1 = tensor_of(comm, vw)
-    s2 = tensor_of(wv, comm)
-    ok = (s1 + s2) == coproduct(comm)
-    return s1, s2, ok
-
-
-# -- coaction -------------------------------------------------------------------
-
-
-def delta_coaction(x: FreeElement) -> dict[PartialTranslation,
-                                           tuple[GaussianRational, LaurentPolynomial]]:
-    """Coaction values V -> (coefficient, character at the monomial's index)."""
-    return {v: (c, LaurentPolynomial.character(v.index))
-            for v, c in x.terms.items()}
-
-
-def coaction_fixed(x: FreeElement) -> bool:
-    """Whether the coaction fixes x, i.e. every basis monomial has index zero."""
-    return all(v.index == 0 for v in x.terms)
+    return comm, tensor_of(comm, vw), tensor_of(wv, comm)
 
 
 # -- descent and corner probes ----------------------------------------------------
@@ -242,14 +205,10 @@ def descent_witness(x: FreeElement, window: int
     return None
 
 
-@dataclass
-class CornerResult:
-    passed: bool
-    witness: Optional[tuple[int, int]]
-
-
-def corner_diagram_check(x: FreeElement, a: int, window: int) -> CornerResult:
-    """Compression consistency of the coproduct on one difference class.
+def corner_diagram_check(x: FreeElement, a: int, window: int
+                         ) -> Optional[tuple[int, int]]:
+    """First pair where the coproduct fails to compress consistently on one
+    difference class, or None.
 
     For class a >= 0 and pairs (c, c+a): the first-leg collapse of the
     coproduct action must match the basis action of rep(x) at c, projected
@@ -258,11 +217,8 @@ def corner_diagram_check(x: FreeElement, a: int, window: int) -> CornerResult:
     (witnesses are reported in the original orientation).
     """
     if a < 0:
-        res = corner_diagram_check(x, -a, window)
-        if res.witness is not None:
-            c, d = res.witness
-            return CornerResult(res.passed, (d, c))
-        return res
+        witness = corner_diagram_check(x, -a, window)
+        return None if witness is None else witness[::-1]
     s = x.semigroup
     t = coproduct(x)
     op = rep(x)
@@ -274,8 +230,8 @@ def corner_diagram_check(x: FreeElement, a: int, window: int) -> CornerResult:
         rhs = {m: coeff for m, coeff in op.apply(c).items()
                if s.contains(m + a)}
         if lhs != rhs:
-            return CornerResult(False, (c, c + a))
-    return CornerResult(True, None)
+            return c, c + a
+    return None
 
 
 # -- short-word search and the morphism falsifier ---------------------------------

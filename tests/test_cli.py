@@ -97,6 +97,8 @@ GOLDENS = [
                                   "T*(3)*T(7) - T(3)", "--pairs", "12")),
     ("norm_s37_dim40", 0, ("norm", "--gens", "3,7", "--expr",
                            "1/3*T(3)*T*(3) + 1/3*T*(3)*T(7) - 2/7*I", "--dim", "40")),
+    ("shift37_s23", 0, ("check", "--gens", "2,3", "--suite", "shift37")),
+    ("norms_s1", 0, ("check", "--gens", "1", "--suite", "norms")),
 ]
 # Each case's id is its golden's name, so inserting a case renames no other.
 # The cases that had positional ids (name-code-argvN) before keep them.

@@ -9,6 +9,7 @@ from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import evaluate_word, max_translation
 from sgalg.quantum import FreeElement, rep
 from sgalg import functionals as fns
+from sgalg.checks import _scalars_close, haar_property_check, measure_convolution_check
 
 S23 = NumericalSemigroup([2, 3])
 Z = NumericalSemigroup([1])
@@ -76,11 +77,11 @@ def test_haar_property_check():
             x = x + mono(S23, *((rng.choice(S23.generators), rng.random() < 0.5)
                                 for _ in range(rng.randint(1, 5)))).scale(
                 rng.choice((ONE, GaussianRational(3), GaussianRational(0, -1))))
-        assert fns.haar_property_check(fns.MatrixCoeff(2, 2), x)
-        assert fns.haar_property_check(fns.point_mass(Fraction(1, 7)), x)
-    assert fns.haar_property_check(fns.MatrixCoeff(0, 0), FreeElement.identity(S23))
-    assert fns.haar_property_check(fns.point_mass(Fraction(2, 5)),
-                                   mono(S23, (2, False)))
+        assert haar_property_check(fns.MatrixCoeff(2, 2), x)
+        assert haar_property_check(fns.point_mass(Fraction(1, 7)), x)
+    assert haar_property_check(fns.MatrixCoeff(0, 0), FreeElement.identity(S23))
+    assert haar_property_check(fns.point_mass(Fraction(2, 5)),
+                               mono(S23, (2, False)))
 
 
 def test_phi_star_examples():
@@ -104,12 +105,12 @@ def test_phi_star_examples():
 
 
 def test_measure_convolution_check():
-    assert fns.measure_convolution_check(0, 0, FreeElement.identity(S23))
+    assert measure_convolution_check(0, 0, FreeElement.identity(S23))
     x = mono(S23, (2, False)) + mono(S23, (3, True))
-    assert fns.measure_convolution_check(Fraction(1, 3), Fraction(1, 5), x)
+    assert measure_convolution_check(Fraction(1, 3), Fraction(1, 5), x)
     ideal = mono(S23, (2, False)) * mono(S23, (2, True)) - FreeElement.identity(S23)
     assert rep(ideal).in_ideal()
-    assert fns.measure_convolution_check(Fraction(1, 6), Fraction(1, 7), ideal)
+    assert measure_convolution_check(Fraction(1, 6), Fraction(1, 7), ideal)
     pm = fns.point_mass(Fraction(1, 6))
     assert abs(complex(fns.evaluate(pm, ideal))) < 1e-12
 
@@ -139,10 +140,10 @@ def test_convolution_associative_commutative():
                         for _ in range(rng.randint(1, 5))))
         lhs = fns.evaluate(fns.convolve(fns.convolve(xi, eta), zeta), x)
         rhs = fns.evaluate(fns.convolve(xi, fns.convolve(eta, zeta)), x)
-        assert fns._scalars_close(lhs, rhs, 1e-12)
+        assert _scalars_close(lhs, rhs, 1e-12)
         ab = fns.evaluate(fns.convolve(xi, eta), x)
         ba = fns.evaluate(fns.convolve(eta, xi), x)
-        assert fns._scalars_close(ab, ba, 1e-12)
+        assert _scalars_close(ab, ba, 1e-12)
 
 
 def test_matrix_coefficients_factor_through_rep():

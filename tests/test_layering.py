@@ -1,0 +1,34 @@
+"""Which package modules each module of sgalg imports.
+
+Claims are decided in `checks` alone: the float layer computes from the
+scalars and the operator form only, and the library layers never reach up
+into the suites; only the CLI, which dispatches to them, imports `checks`.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sgalg"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def package_imports(module: str) -> set[str]:
+    """The sibling modules named by the module's `from .x import` and
+    `from . import x` statements, at any depth."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_numeric_imports_only_the_scalars_and_the_operator_form():
+    assert package_imports("numeric") <= {"scalars", "operators"}
+
+
+def test_only_the_cli_imports_checks():
+    assert [m for m in MODULES if "checks" in package_imports(m)] == ["cli"]

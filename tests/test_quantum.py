@@ -12,9 +12,9 @@ from sgalg.translations import compose, elementary, evaluate_word, max_translati
 from sgalg.operators import LaurentPolynomial, OperatorElement, from_monomial
 from sgalg import checks, quantum
 from sgalg.numeric import gauge_twist
-from sgalg.quantum import (FreeElement, FreeTensor, coaction_fixed,
-                           coideal_decomposition, coproduct, corner_diagram_check,
-                           delta_coaction, descent_witness, distinct_monomials,
+from sgalg.quantum import (FreeElement, FreeTensor, coideal_decomposition,
+                           coproduct, corner_diagram_check, descent_witness,
+                           distinct_monomials,
                            enumerate_words, exact_nullspace, group_like_detect,
                            monomial_kernel, quantum_morphism_falsify, rep,
                            tensor_multiply, tensor_of, weak_antipode,
@@ -230,11 +230,11 @@ def test_weak_antipode_examples():
 
 def test_weak_hopf_examples():
     v = mono(S23, (2, False))
-    assert weak_hopf_check(v).passed
+    assert weak_hopf_check(v)
     x = (mono(S23, (2, False)).scale(2)
          - mono(S23, (2, True), (3, False)).scale(3))
-    assert weak_hopf_check(x).passed
-    assert weak_hopf_check(FreeElement.zero(S23)).passed
+    assert weak_hopf_check(x)
+    assert weak_hopf_check(FreeElement.zero(S23))
 
 
 def test_coassociativity_examples():
@@ -245,7 +245,7 @@ def test_coassociativity_examples():
             x = x + mono(S23, *((rng.choice(S23.generators), rng.random() < 0.5)
                                 for _ in range(rng.randint(1, 5)))).scale(
                 rng.choice((ONE, GaussianRational(-1), I_UNIT)))
-        assert weak_hopf_check(x).passed
+        assert weak_hopf_check(x)
 
 
 # -- group-like detection --------------------------------------------------------------
@@ -292,31 +292,17 @@ def test_group_like_survey_small(group_like_invariants):
 
 def test_coideal_examples():
     t2 = elementary(S23, 2, False)
-    s1, s2, ok = coideal_decomposition(t2, t2.adjoint())
-    assert ok
+    comm, s1, s2 = coideal_decomposition(t2, t2.adjoint())
+    assert s1 + s2 == coproduct(comm)
     assert not (s1 + s2).is_zero
+    assert comm == mono(S23, (2, False), (2, True)) - FreeElement.identity(S23)
 
     t3 = elementary(S23, 3, False)
-    s1, s2, ok = coideal_decomposition(t2, t3)
-    assert ok
-    assert (s1 + s2).is_zero      # commuting pair: both summands carry zero
+    comm, s1, s2 = coideal_decomposition(t2, t3)
+    assert comm.is_zero and s1.is_zero and s2.is_zero  # commuting pair
 
-    s1, s2, ok = coideal_decomposition(elementary(S23, 3, True), t2)
-    assert ok
-
-
-# -- coaction --------------------------------------------------------------------------
-
-
-def test_coaction_examples():
-    t2 = elementary(S23, 2, False)
-    d = delta_coaction(FreeElement.monomial(t2))
-    (coeff, chi) = d[t2]
-    assert coeff == ONE and chi.exponents() == (2,)
-
-    p0_like = mono(S23, (2, True), (2, False))
-    assert coaction_fixed(p0_like)
-    assert not coaction_fixed(FreeElement.monomial(t2))
+    comm, s1, s2 = coideal_decomposition(elementary(S23, 3, True), t2)
+    assert s1 + s2 == coproduct(comm)
 
 
 # -- descent and corner ------------------------------------------------------------------
@@ -370,14 +356,15 @@ def test_no_dependences_over_totally_ordered():
 
 def test_corner_examples():
     x = mono(S23, (2, False), (2, True))
-    assert corner_diagram_check(x, 0, 10).passed
-    res = corner_diagram_check(x, 1, 10)
-    assert not res.passed and res.witness == (2, 3)
+    assert corner_diagram_check(x, 0, 10) is None
+    assert corner_diagram_check(x, 1, 10) == (2, 3)
+    # negative classes are checked through the mirror image, reported unmirrored
+    assert corner_diagram_check(x, -1, 10) == (3, 2)
 
     for v in distinct_monomials(Z, 4):
         xz = FreeElement.monomial(v)
         for a in range(-4, 5):
-            assert corner_diagram_check(xz, a, 10).passed
+            assert corner_diagram_check(xz, a, 10) is None
 
 
 def test_nullspace_unit():
