@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 from .scalars import GaussianRational, ONE, ZERO
 from .semigroup import NumericalSemigroup
-from .translations import PartialTranslation
+from .translations import PartialTranslation, compose, elementary
 from .quantum import FreeElement
 
 Scalar = Union[GaussianRational, complex]
@@ -98,8 +98,10 @@ def eval_on_monomial(xi: Functional, v: PartialTranslation) -> Scalar:
     if kind is Convolution:
         return eval_on_monomial(xi.left, v) * eval_on_monomial(xi.right, v)
     if kind is ShiftPullback:
-        conj = FreeElement.monomial(v).conjugate_by_shift(xi.e)
-        return evaluate(xi.inner, conj)
+        # T_e* V T_e is one monomial; phi_star has checked that e is a member.
+        s, e = v.semigroup, xi.e
+        return eval_on_monomial(xi.inner, compose(elementary(s, e, True),
+                                                  compose(v, elementary(s, e, False))))
     raise TypeError(f"not a functional: {xi!r}")
 
 

@@ -200,9 +200,6 @@ class OperatorElement(Combination):
         """Exact splitting A = lift(symbol(A)) + ideal part, the matrix units."""
         return self.symbol(), OperatorElement._new(self.semigroup, dict(_parts(self)[1]))
 
-    def is_isometry(self) -> bool:
-        return self.adjoint() * self == OperatorElement.identity(self.semigroup)
-
     def deviation_from(self, other: "OperatorElement") -> float:
         """Max absolute weight difference over all indices and members."""
         return max(map(abs, term_values(self - other).values()), default=0.0)

@@ -19,8 +19,8 @@ from typing import Callable, Hashable, Iterator, Optional, Sequence
 from .scalars import Combination, GaussianRational, ONE, ZERO
 from .semigroup import NumericalSemigroup, bit_positions, morphism_multipliers
 from .operators import OperatorElement, from_monomial, monomial_terms
-from .translations import (Letter, PartialTranslation, Word, compose, elementary,
-                           evaluate_word)
+from .translations import (Letter, PartialTranslation, Word, _leaving, compose,
+                           elementary, evaluate_word)
 
 
 _pt_sort_key = operator.attrgetter("sort_key")
@@ -55,16 +55,6 @@ class FreeElement(Combination):
         """Conjugate-linear involution: adjoint monomials, conjugated coefficients."""
         return FreeElement(self.semigroup,
                            {v.adjoint(): c.conjugate() for v, c in self.terms.items()})
-
-    def conjugate_by_shift(self, e: int) -> "FreeElement":
-        """Basis-wise shift conjugation V -> T_e* V T_e inside the free algebra."""
-        s = self.semigroup
-        if not s.contains(e):
-            raise ValueError(f"{e} is not a member")
-        te = elementary(s, e, False)
-        te_star = elementary(s, e, True)
-        return FreeElement.collect(s, ((compose(te_star, compose(v, te)), c)
-                                       for v, c in self.terms.items()))
 
     def __str__(self):
         if self.is_zero:
@@ -212,7 +202,13 @@ def corner_diagram_check(x: FreeElement, a: int, window: int
 
     For class a >= 0 and pairs (c, c+a): the first-leg collapse of the
     coproduct action must match the basis action of rep(x) at c, projected
-    onto points that stay members after shifting by a.  The coproduct is
+    onto points that stay members after shifting by a.  Decided one index
+    class i at a time: a term keeps c when its mask leaves out neither c nor
+    c+a, and rep(x) is zero where c+i+a leaves the semigroup.  At the points
+    no term of the class leaves out and where rep(x)'s weight takes its tail,
+    the class gives its coefficient sum and rep(x) its tail, so the lowest one
+    decides all; the other points are compared one by one.  The failing pair
+    reported has the lowest c across all classes.  The coproduct is
     flip-symmetric, so negative classes are checked through the mirror image
     (witnesses are reported in the original orientation).
     """
@@ -220,18 +216,28 @@ def corner_diagram_check(x: FreeElement, a: int, window: int
         witness = corner_diagram_check(x, -a, window)
         return None if witness is None else witness[::-1]
     s = x.semigroup
-    t = coproduct(x)
-    op = rep(x)
-    for c in s.members_upto(window):
-        if not s.contains(c + a):
-            continue
-        lhs = Combination.collect(None, ((l, coeff) for (l, _k), coeff
-                                         in t.apply((c, c + a)).items())).terms
-        rhs = {m: coeff for m, coeff in op.apply(c).items()
-               if s.contains(m + a)}
-        if lhs != rhs:
-            return c, c + a
-    return None
+    weights = rep(x).weights()
+    classes: dict[int, list] = {i: [] for i in weights}
+    for v, coeff in x.terms.items():
+        classes.setdefault(v.index, []).append((v.mask | v.mask >> a, coeff))
+    points = ((2 << window) - 1) & ~(s.gapmask | _leaving(s, a))
+    first = None
+    for i, terms in classes.items():
+        tail, exceptions = weights.get(i, (ZERO, {}))
+        cut = _leaving(s, i + a)
+        varying = cut | sum(1 << d for d in exceptions)
+        for mask, _coeff in terms:
+            varying |= mask
+        steady = points & ~varying  # the lowest one stands for all of them
+        for c in bit_positions(points & varying | steady & -steady):
+            if first is not None and c >= first:
+                break
+            value = sum((coeff for mask, coeff in terms if not mask >> c & 1), ZERO)
+            target = ZERO if cut >> c & 1 else exceptions.get(c, tail)
+            if value != target and (value or target):  # a zero is an absent key
+                first = c
+                break
+    return None if first is None else (first, first + a)
 
 
 # -- short-word search and the morphism falsifier ---------------------------------

@@ -141,10 +141,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _gr(self._a, -self._b, self._d)
 
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     def __abs__(self) -> float:
         return ((self._a * self._a + self._b * self._b) / (self._d * self._d)) ** 0.5
 

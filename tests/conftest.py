@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from sgalg.exprparse import ExprError
-from sgalg.scalars import ONE, ZERO
-from sgalg.operators import from_monomial
+from sgalg import quantum
+from sgalg.scalars import Combination, ONE, ZERO
+from sgalg.operators import OperatorElement, from_monomial
 from sgalg.semigroup import morphism_multipliers
 from sgalg.translations import compose, elementary
 from sgalg.quantum import (FreeElement, MorphismWitness, coproduct, distinct_monomials,
@@ -54,7 +55,8 @@ def group_like_reference(x):
     monomial, whose index is returned."""
     if x.is_zero or coproduct(x) != tensor_of(x, x):
         return None
-    if not rep(x).is_isometry():
+    a = rep(x)
+    if a.adjoint() * a != OperatorElement.identity(x.semigroup):
         return None
     (v,) = x.terms
     return v.index
@@ -208,10 +210,31 @@ def pairwise_descent_witness(x, window):
 
 
 def pointwise_diagonal(t, op, window):
-    """checks.diagonal_agrees's reference: the whole tensor and the whole
-    operator applied at every member up to window."""
+    """suite_descent's diagonal claims by their definition: the whole tensor
+    and the whole operator applied at every member up to window."""
     return all(t.apply((a, a)) == {(m, m): c for m, c in op.apply(a).items()}
                for a in op.semigroup.members_upto(window))
+
+
+def pointwise_corner(x, a, window):
+    """quantum.corner_diagram_check's reference: the whole coproduct and the
+    whole rep(x) applied at every member c up to window with c + a a member,
+    negative classes through the mirror image."""
+    if a < 0:
+        witness = pointwise_corner(x, -a, window)
+        return None if witness is None else witness[::-1]
+    s = x.semigroup
+    t = coproduct(x)
+    op = quantum.rep(x)
+    for c in s.members_upto(window):
+        if not s.contains(c + a):
+            continue
+        lhs = Combination.collect(None, ((l, coeff) for (l, _k), coeff
+                                         in t.apply((c, c + a)).items())).terms
+        rhs = {m: coeff for m, coeff in op.apply(c).items() if s.contains(m + a)}
+        if lhs != rhs:
+            return c, c + a
+    return None
 
 
 def dense_truncate(a, n):

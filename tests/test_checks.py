@@ -18,7 +18,7 @@ from sgalg.scalars import ONE, GaussianRational
 from sgalg.semigroup import NumericalSemigroup
 from sgalg.translations import PartialTranslation, evaluate_word, word_action
 
-from conftest import pointwise_diagonal
+from conftest import pointwise_corner, pointwise_diagonal
 
 S23 = NumericalSemigroup([2, 3])
 REPORT_KEYS = {"claim", "parameters", "computed", "expected", "tolerance", "pass"}
@@ -246,21 +246,24 @@ def test_zero_class_corner_check_is_the_diagonal_predicate(gens):
 
 
 @pytest.mark.parametrize("gens", [(2, 3), (3, 7), (11, 13), (31, 37)])
-def test_diagonal_predicate_matches_the_pointwise_reference(gens):
-    # On the suite's probes, and on each probe's operator with one weight
-    # perturbed: a unit at a member d, inside the window or just past it, or
-    # one more widest translation, which moves the weight's tail.
+def test_diagonal_predicate_matches_the_pointwise_reference(monkeypatch, gens):
+    # corner_diagram_check at every class -4..4 on the suite's probes, with
+    # rep(x) as it is and with one weight perturbed: a unit at a member d,
+    # inside the window or just past it, or one more widest translation,
+    # which moves the weight's tail.
     s = NumericalSemigroup(list(gens))
     window, probes = descent_probes(s)
     rng = random.Random(0)
     verdicts = []
     for x in probes:
-        t, op = coproduct(x), quantum.rep(x)
+        op = quantum.rep(x)
         c = rng.choice([v.index for v in x.terms] or [0])
         d = rng.choice([m for m in s.members_upto(window + 3) if s.contains(m + c)])
         for perturbed in (op, op + OperatorElement(s, {(c, d): ONE}),
                           op + OperatorElement(s, {(c, None): ONE})):
-            expected = pointwise_diagonal(t, perturbed, window)
-            assert checks.diagonal_agrees(t, perturbed, window) == expected
-            verdicts.append(expected)
+            monkeypatch.setattr(quantum, "rep", lambda _x, op=perturbed: op)
+            for a in range(-4, 5):
+                expected = pointwise_corner(x, a, window)
+                assert quantum.corner_diagram_check(x, a, window) == expected
+                verdicts.append(expected is None)
     assert True in verdicts and False in verdicts

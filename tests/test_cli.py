@@ -99,6 +99,8 @@ GOLDENS = [
                            "1/3*T(3)*T*(3) + 1/3*T*(3)*T(7) - 2/7*I", "--dim", "40")),
     ("shift37_s23", 0, ("check", "--gens", "2,3", "--suite", "shift37")),
     ("norms_s1", 0, ("check", "--gens", "1", "--suite", "norms")),
+    ("descent_s1_seed0", 0, ("check", "--gens", "1", "--suite", "descent")),
+    ("descent_s345_seed0", 0, ("check", "--gens", "3,4,5", "--suite", "descent")),
 ]
 # Each case's id is its golden's name, so inserting a case renames no other.
 # The cases that had positional ids (name-code-argvN) before keep them.

@@ -311,16 +311,20 @@ def test_stabilization_property():
                 e = s.first_member_at_least(e + 1)
 
 
+def is_isometry(a):
+    return a.adjoint() * a == OperatorElement.identity(a.semigroup)
+
+
 def test_is_isometry_examples():
-    assert from_monomial(elementary(S23, 3, False)).is_isometry()
-    assert not from_monomial(max_translation(S23, 1)).is_isometry()
+    assert is_isometry(from_monomial(elementary(S23, 3, False)))
+    assert not is_isometry(from_monomial(max_translation(S23, 1)))
     # the corrected combined shift is an isometry
     s = S23
     p = projection_word()
     t = (from_monomial(elementary(s, 2, False))
          - from_monomial(compose(elementary(s, 2, False), p))
          + from_monomial(evaluate_word(s, ((2, True), (3, False)))))
-    assert t.is_isometry()
+    assert is_isometry(t)
 
 
 def test_symbol_homomorphism_property():
@@ -340,7 +344,7 @@ def test_symbol_homomorphism_property():
 def test_adjoint_involutive_and_anti_multiplicative():
     rng = random.Random(31)
     for g in S23.generators:
-        assert from_monomial(elementary(S23, g, False)).is_isometry()
+        assert is_isometry(from_monomial(elementary(S23, g, False)))
     for _ in range(40):
         words = [tuple((rng.choice(S23.generators), rng.random() < 0.5)
                        for _ in range(rng.randint(1, 4))) for _ in range(3)]
