@@ -21,7 +21,7 @@ from .operators import (LaurentPolynomial, OperatorElement, from_monomial,
                         generator_commutator, toeplitz_lift)
 from . import quantum
 from .quantum import (FreeElement, coproduct, corner_diagram_check, descent_witness,
-                      distinct_monomials, monomial_kernel,
+                      distinct_monomials, letters_of, monomial_kernel,
                       quantum_morphism_falsify, rep, tensor_of, weak_antipode,
                       weak_hopf_check, _pt_sort_key)
 from . import functionals as fns
@@ -123,9 +123,8 @@ def _rng(name: str, s: NumericalSemigroup, seed: int) -> random.Random:
 
 
 def random_word(rng: random.Random, s: NumericalSemigroup, max_len: int) -> Word:
-    length = rng.randint(1, max_len)
-    return tuple((rng.choice(s.generators), rng.random() < 0.5)
-                 for _ in range(length))
+    """One seeded draw per letter, uniform over the 2k letters."""
+    return tuple(rng.choices(letters_of(s), k=rng.randint(1, max_len)))
 
 
 _COEFF_POOL = (ONE, GaussianRational(-1), GaussianRational(2),
@@ -586,15 +585,17 @@ def suite_fourier(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
     spans = ((a, max((abs(c) for c in a.indices()), default=0)) for a in corpus)
     grades = ((a, c, 2 * span + 8) for a, span in spans for c in a.indices() + (span + 1,))
 
+    def turns() -> Fraction:
+        return Fraction(rng.randrange(1 << 20), 1 << 20)
+
     def circle_action(a, t1, t2):
         return (gauge_twist(gauge_twist(a, t1), t2).deviation_from(gauge_twist(a, t1 + t2))
-                <= 1e-12 and gauge_twist(a, 0.0).deviation_from(a) <= 1e-15)
+                <= 1e-12 and gauge_twist(a, 0).deviation_from(a) <= 1e-15)
 
-    def multiplicative(a, b, theta):
-        return (gauge_twist(a * b, theta).deviation_from(
-                    gauge_twist(a, theta) * gauge_twist(b, theta)) <= 1e-9
-                and gauge_twist(a.adjoint(), theta).deviation_from(
-                    gauge_twist(a, theta).adjoint()) <= 1e-9)
+    def multiplicative(a, b, t):
+        twisted = gauge_twist(a, t)
+        return (gauge_twist(a * b, t).deviation_from(twisted * gauge_twist(b, t)) <= 1e-9
+                and gauge_twist(a.adjoint(), t).deviation_from(twisted.adjoint()) <= 1e-9)
 
     return [
         _forall("character averaging of gauge twists recovers each grade",
@@ -603,17 +604,16 @@ def suite_fourier(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
                  .deviation_from(a.grade(c)) <= 1e-9), tolerance=1e-9),
         _forall("the gauge action is a circle action",
                 {"semigroup": str(s), "seed": seed},
-                (((a, rng.uniform(0, 6.28), rng.uniform(0, 6.28)) for a in corpus[:10]),
-                 circle_action), tolerance=1e-12),
+                (((a, turns(), turns()) for a in corpus[:10]), circle_action), tolerance=1e-12),
         _forall("zero-index elements are gauge-fixed",
                 {"semigroup": str(s), "seed": seed},
-                (((a.expectation(), rng.uniform(0, 6.28)) for a in corpus[:10]),
-                 lambda z, theta: gauge_twist(z, theta).deviation_from(z) <= 1e-12),
+                (((a.expectation(), turns()) for a in corpus[:10]),
+                 lambda z, t: gauge_twist(z, t).deviation_from(z) <= 1e-12),
                 tolerance=1e-12),
         _forall("gauge twisting is multiplicative",
                 {"semigroup": str(s), "seed": seed},
-                (((a, b, rng.uniform(0, 6.28)) for a, b in _draws(rng, corpus, 10)),
-                 multiplicative), tolerance=1e-9),
+                (((a, b, turns()) for a, b in _draws(rng, corpus, 10)), multiplicative),
+                tolerance=1e-9),
     ]
 
 

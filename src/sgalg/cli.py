@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 
+from .scalars import GaussianRational
 from .semigroup import NumericalSemigroup
 from .quantum import coproduct, group_like_detect, rep
 from . import functionals as fns
@@ -72,7 +73,6 @@ def _at_most(flag: str, value: int, high: int) -> None:
 
 
 def _scalar_json(v) -> object:
-    from .scalars import GaussianRational
     if isinstance(v, GaussianRational):
         return str(v)
     return {"re": v.real, "im": v.imag}
@@ -204,6 +204,10 @@ def cmd_morphism(args) -> int:
     s1 = _gens(getattr(args, "from"), "--from")
     s2 = _gens(args.to, "--to")
     _at_most(f"--max-len over {s1}", args.max_len, _max_word_len(s1))
+    if args.mult is not None:
+        # The letters m*a of one image word then sum to at most an --expr's budget.
+        _at_most(f"--mult * --max-len * {max(s1.generators)}",
+                 args.mult * args.max_len * max(s1.generators), MAX_LETTERS)
     report = morphism_report(s1, s2, args.mult, args.max_len)
     _emit(_base("morphism", **report))
     return 1 if report["witness_found"] else 0
@@ -239,79 +243,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact semigroup operator calculus and verification suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_gens(p):
+    def command(name, fn, help_text, expr=True):
+        """A subcommand taking --gens, then --expr unless expr is false."""
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--gens", required=True,
                        help="comma-separated generators; 1 means the full "
                             f"non-negative integers; min*max at most {MAX_LETTERS}")
+        if expr:
+            p.add_argument("--expr", required=True)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("info", help="gaps, frobenius number, order totality")
-    with_gens(p)
-    p.set_defaults(fn=cmd_info)
+    command("info", cmd_info, "gaps, frobenius number, order totality", expr=False)
+    command("eval", cmd_eval, "canonical operator form of an expression").add_argument(
+        "--basis", type=int, default=0,
+        help=f"also list the action on the first N basis points, at most {MAX_BASIS}")
+    command("symbol", cmd_symbol, "image in the commutative quotient")
+    command("split", cmd_split, "lift-plus-ideal decomposition")
+    command("norm", cmd_norm, "truncated operator norm").add_argument(
+        "--dim", type=int, required=True, help=f"truncation size, 1 to {MAX_DIM}")
+    command("coproduct", cmd_coproduct, "diagonal coproduct of an expression").add_argument(
+        "--pairs", type=int, default=0,
+        help=f"also act on pairs from the first N basis points, at most {MAX_PAIRS}")
+    command("grouplike", cmd_grouplike, "detect a canonical isometric generator")
+    command("haar", cmd_haar, "absorbing-state value of an expression")
 
-    p = sub.add_parser("eval", help="canonical operator form of an expression")
-    with_gens(p)
-    p.add_argument("--expr", required=True)
-    p.add_argument("--basis", type=int, default=0,
-                   help="also list the action on the first N basis points, "
-                        f"at most {MAX_BASIS}")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("symbol", help="image in the commutative quotient")
-    with_gens(p)
-    p.add_argument("--expr", required=True)
-    p.set_defaults(fn=cmd_symbol)
-
-    p = sub.add_parser("split", help="lift-plus-ideal decomposition")
-    with_gens(p)
-    p.add_argument("--expr", required=True)
-    p.set_defaults(fn=cmd_split)
-
-    p = sub.add_parser("norm", help="truncated operator norm")
-    with_gens(p)
-    p.add_argument("--expr", required=True)
-    p.add_argument("--dim", type=int, required=True,
-                   help=f"truncation size, 1 to {MAX_DIM}")
-    p.set_defaults(fn=cmd_norm)
-
-    p = sub.add_parser("coproduct", help="diagonal coproduct of an expression")
-    with_gens(p)
-    p.add_argument("--expr", required=True)
-    p.add_argument("--pairs", type=int, default=0,
-                   help="also act on pairs from the first N basis points, "
-                        f"at most {MAX_PAIRS}")
-    p.set_defaults(fn=cmd_coproduct)
-
-    p = sub.add_parser("grouplike", help="detect a canonical isometric generator")
-    with_gens(p)
-    p.add_argument("--expr", required=True)
-    p.set_defaults(fn=cmd_grouplike)
-
-    p = sub.add_parser("haar", help="absorbing-state value of an expression")
-    with_gens(p)
-    p.add_argument("--expr", required=True)
-    p.set_defaults(fn=cmd_haar)
-
-    p = sub.add_parser("convolve", help="convolve two functionals against an expression")
-    with_gens(p)
+    p = command("convolve", cmd_convolve, "convolve two functionals against an expression",
+                expr=False)
     p.add_argument("--functional", action="append", default=[],
                    help="give twice: w[a,b] | haar | pm(turns) | conv(f,g) | lin(...)")
     p.add_argument("--expr", required=True)
-    p.set_defaults(fn=cmd_convolve)
 
     p = sub.add_parser("morphism", help="falsify a generator-scaling morphism")
     p.add_argument("--from", required=True, dest="from")
     p.add_argument("--to", required=True)
     p.add_argument("--mult", type=int, default=None,
-                   help="single multiplier; scans the admissible 0..6 when absent")
+                   help="single multiplier; scans the admissible 0..6 when absent; "
+                        f"mult * max-len * the largest source generator at most {MAX_LETTERS}")
     p.add_argument("--max-len", type=int, default=6,
                    help=f"longest word; at most {MAX_WORDS} words in all")
     p.set_defaults(fn=cmd_morphism)
 
-    p = sub.add_parser("check", help="run a named verification suite")
-    with_gens(p)
+    p = command("check", cmd_check, "run a named verification suite", expr=False)
     p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_check)
 
     return parser
 

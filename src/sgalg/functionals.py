@@ -9,12 +9,11 @@ multiplies values monomial by monomial.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE, ZERO, turn_phase
 from .semigroup import NumericalSemigroup
 from .translations import PartialTranslation, compose, elementary
 from .quantum import FreeElement
@@ -91,8 +90,7 @@ def eval_on_monomial(xi: Functional, v: PartialTranslation) -> Scalar:
             return ONE
         return ZERO
     if kind is SymbolPointMass:
-        angle = 2.0 * cmath.pi * float(xi.turns)
-        return xi.weight * cmath.exp(1j * v.index * angle)
+        return xi.weight * turn_phase(v.index, xi.turns)
     if kind is LinCombo:
         return sum((c * eval_on_monomial(f, v) for c, f in xi.terms), ZERO)
     if kind is Convolution:

@@ -4,16 +4,17 @@ Operator identities are never tested on truncations (corner effects);
 truncated matrices serve norm estimation only.  Gauge twists and Fourier
 projections are ``OperatorElement``s with complex weights: a twist scales
 each term by its index's phase, a projection by its index's phase sum.
+Angles are exact turns, and every phase is a ``scalars.turn_phase``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, turn_phase
 from .operators import LaurentPolynomial, OperatorElement, term_values
 
 
@@ -68,23 +69,27 @@ def laurent_sup_norm(f: LaurentPolynomial, samples: int = 4096) -> tuple[float, 
     return value, bound
 
 
-def gauge_twist(a: OperatorElement, theta: float) -> OperatorElement:
-    """Multiply every index-c key by exp(i*c*theta); complex coefficients."""
-    phases = {c: cmath.exp(1j * c * theta) for c in a.indices()}
+def gauge_twist(a: OperatorElement, turns) -> OperatorElement:
+    """Multiply every index-c key by e^{2πi·c·turns}; complex coefficients.
+
+    turns is an int, Fraction or float, read exactly as Fraction(turns)."""
+    t = Fraction(turns)
+    phases = {c: turn_phase(c, t) for c in a.indices()}
     return OperatorElement._new(a.semigroup, {k: phases[k[0]] * v for k, v in a.terms.items()})
 
 
 def fourier_project(a: OperatorElement, target_index: int, samples: int) -> OperatorElement:
     """Average of gauge twists against one character; recovers one grade.
 
-    Each index-c term is scaled by one phase sum: cost terms + samples x indices."""
+    At the sample angles k/samples turns, each index-c term is scaled by one
+    phase sum, of e^{2πi·(c - target)·k/samples}: cost terms + samples x indices."""
     indices = a.indices()
     span = max((abs(c) for c in indices), default=0)
     if samples <= 2 * span:
         raise ValueError(f"need more than {2 * span} samples for index span {span}")
-    thetas = [2.0 * math.pi * k / samples for k in range(samples)]
-    character = [cmath.exp(-1j * target_index * theta) / samples for theta in thetas]
-    phase_sums = {c: sum(cmath.exp(1j * c * theta) * w for theta, w in zip(thetas, character))
-                  for c in indices}
+    phase_sums = {}
+    for c in indices:
+        t = Fraction(c - target_index, samples)
+        phase_sums[c] = sum(turn_phase(k, t) for k in range(samples)) / samples
     return OperatorElement._new(a.semigroup, {k: x for k, v in a.terms.items()
                                               if (x := phase_sums[k[0]] * v)})

@@ -19,8 +19,8 @@ from typing import Callable, Hashable, Iterator, Optional, Sequence
 from .scalars import Combination, GaussianRational, ONE, ZERO
 from .semigroup import NumericalSemigroup, bit_positions, morphism_multipliers
 from .operators import OperatorElement, from_monomial, monomial_terms
-from .translations import (Letter, PartialTranslation, Word, _leaving, compose,
-                           elementary, evaluate_word)
+from .translations import (Letter, PartialTranslation, Word, _leaving, cell_points,
+                           compose, elementary, evaluate_word)
 
 
 _pt_sort_key = operator.attrgetter("sort_key")
@@ -177,14 +177,17 @@ def descent_witness(x: FreeElement, window: int
     Returns ((c, d), values) for the lexicographically first witness up to
     window, or None.  Only points some domain of x leaves out are tried: if
     every domain holds c, row c acts at (c, d) as rep(x) = 0 acts on e_d,
-    index class by index class; by symmetry the same holds for d.
+    index class by index class; by symmetry the same holds for d.  And only
+    the lowest point of each domain cell is tried: the terms acting at (c, d)
+    are those whose domains hold c and d, so the points of one cell witness
+    alike, and the lowest comes first.
     """
     if not rep(x).is_zero:
         raise ValueError("descent probe requires a rep-zero element")
     left_out = 0
     for v in x.terms:
         left_out |= v.mask
-    points = bit_positions(left_out & ((2 << window) - 1))
+    points = cell_points(left_out & ((2 << window) - 1), [v.mask for v in x.terms])
     for c in points:
         row = [(v.index, v.mask, a) for v, a in x.terms.items() if not v.mask >> c & 1]
         for d in points:

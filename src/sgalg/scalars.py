@@ -8,14 +8,16 @@ A weight or a functional value is either such an exact scalar or a Python
 ``complex``.  Combining the two by ``+ - * /``, in either order, gives the
 float result of the same operation on ``complex(exact)``; the two kinds
 never compare equal.  ``Combination`` is the one finite linear combination
-over basis keys with such coefficients.
+over basis keys with such coefficients.  ``turn_phase`` is the one character
+value e^{2πi·c·t} of the circle, for an exact angle t in turns.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, pi
 
 
 def _gr(a: int, b: int, d: int) -> "GaussianRational":
@@ -192,31 +194,36 @@ def as_scalar(x):
     return GaussianRational.coerce(x)
 
 
+def turn_phase(c: int, turns) -> complex:
+    """e^{2πi·c·turns} for an int or Fraction turns: c·turns is reduced modulo
+    one turn on its integer numerator and denominator before any float is
+    formed, so the error is a few ulp whatever c is."""
+    q = turns.denominator
+    return cmath.exp(2j * pi * (c * turns.numerator % q / q))
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I_UNIT = GaussianRational(0, 1)
-
-
-def _clean(terms: dict) -> dict:
-    """terms without zero coefficients, ints and Fractions made exact."""
-    return {k: c if type(c) is GaussianRational else as_scalar(c)
-            for k, c in terms.items() if c}
 
 
 class Combination:
     """Finite linear combination of basis keys, optionally over a semigroup.
 
     Every coefficient is a nonzero ``GaussianRational`` or ``complex`` (the
-    public constructor and ``collect`` coerce and drop zeros, ``_new`` takes
-    a clean dict as it is), so two combinations are equal exactly when their
-    term dicts are.  Binary operations require operands of one kind over one
-    semigroup.
+    public constructor drops zeros and makes ints and Fractions exact;
+    ``collect`` drops the zeros given or summed and takes the rest as they
+    are; ``_new`` takes a clean dict as it is), so two combinations are equal
+    exactly when their term dicts are.  Binary operations require operands of
+    one kind over one semigroup.
     """
 
     __slots__ = ("semigroup", "terms")
 
     def __init__(self, semigroup, terms: dict):
-        self.semigroup, self.terms = semigroup, _clean(terms)
+        self.semigroup = semigroup
+        self.terms = {k: c if type(c) is GaussianRational else as_scalar(c)
+                      for k, c in terms.items() if c}
 
     @classmethod
     def _new(cls, semigroup, terms: dict):
@@ -232,8 +239,13 @@ class Combination:
         get = out.get
         for k, c in pairs:
             prev = get(k)
-            out[k] = c if prev is None else prev + c
-        return cls._new(semigroup, _clean(out))
+            if prev is not None:
+                c = prev + c
+            if c:
+                out[k] = c
+            elif prev is not None:
+                del out[k]
+        return cls._new(semigroup, out)
 
     def _same(self, other) -> None:
         if self.semigroup is not other.semigroup and self.semigroup != other.semigroup:

@@ -57,9 +57,7 @@ class NumericalSemigroup:
             raise ValueError("generator set must be non-empty")
         if any(g < 1 for g in gens):
             raise ValueError("generators must be positive integers")
-        g = 0
-        for a in gens:
-            g = gcd(g, a)
+        g = gcd(*gens)
         if g != 1:
             raise ValueError(f"gcd of generators is {g}, not 1; "
                              "the difference group would be a proper subgroup")
@@ -173,17 +171,9 @@ def automorphism_multipliers(s: NumericalSemigroup) -> set[int]:
     frobenius+1 and frobenius+2 are consecutive members, and no m >= 2 divides
     both, so m*S is never all of S for m >= 2.
     """
-    def is_multiplier_auto(m: int) -> bool:
-        if m == 0:
-            return False
-        if not all(s.contains(m * g) for g in s.generators):
-            return False
-        # Surjectivity on the decisive window: frobenius+2 covers the
-        # consecutive-members argument above.
-        for w in s.members_upto(s.frobenius + 2):
-            if w % m != 0 or not s.contains(w // m):
-                return False
-        return True
-
+    # Surjectivity on the decisive window: frobenius+2 covers the
+    # consecutive-members argument above.
+    window = s.members_upto(s.frobenius + 2)
     return {m for m in range(1, max(3, max(s.generators) + 1))
-            if is_multiplier_auto(m)}
+            if all(s.contains(m * g) for g in s.generators)
+            and all(w % m == 0 and s.contains(w // m) for w in window)}

@@ -181,6 +181,15 @@ def evaluate_word(semigroup: NumericalSemigroup, word: Sequence[Letter]) -> Part
     return _translation(semigroup, index, mask & ~semigroup.gapmask)
 
 
+def cell_points(mask: int, masks: Iterable[int]) -> list[int]:
+    """The lowest point of each cell of mask, in increasing order: mask split
+    by every mask of masks, so that two points of one cell lie in the same ones."""
+    cells = [mask] if mask else []
+    for m in masks:
+        cells = [part for cell in cells for part in (cell & m, cell & ~m) if part]
+    return sorted((cell & -cell).bit_length() - 1 for cell in cells)
+
+
 def word_action(semigroup: NumericalSemigroup, word: Sequence[Letter],
                 d: int) -> Optional[int]:
     """Direct basis-action simulation of a word, independent of normal forms.

@@ -11,7 +11,7 @@ from sgalg.exprparse import ExprError
 from sgalg import quantum
 from sgalg.scalars import Combination, ONE, ZERO
 from sgalg.operators import OperatorElement, from_monomial
-from sgalg.semigroup import morphism_multipliers
+from sgalg.semigroup import bit_positions, morphism_multipliers
 from sgalg.translations import compose, elementary
 from sgalg.quantum import (FreeElement, MorphismWitness, coproduct, distinct_monomials,
                            first_words, group_like_detect, letters_of, monomial_kernel, rep,
@@ -204,6 +204,25 @@ def pairwise_descent_witness(x, window):
     for c in members:
         for d in members:
             vals = t.apply((c, d))
+            if vals:
+                return (c, d), vals
+    return None
+
+
+def pointwise_descent_witness(x, window):
+    """quantum.descent_witness's reference: every point some domain of x leaves
+    out, up to window, tried as c and as d, rows first."""
+    if not rep(x).is_zero:
+        raise ValueError("descent probe requires a rep-zero element")
+    left_out = 0
+    for v in x.terms:
+        left_out |= v.mask
+    points = bit_positions(left_out & ((2 << window) - 1))
+    for c in points:
+        row = [(v.index, v.mask, a) for v, a in x.terms.items() if not v.mask >> c & 1]
+        for d in points:
+            vals = Combination.collect(None, (((c + i, d + i), a) for i, mask, a in row
+                                              if not mask >> d & 1)).terms
             if vals:
                 return (c, d), vals
     return None

@@ -450,10 +450,11 @@ def test_word_length_bound_follows_the_source():
 
 
 def test_scalars_past_the_float_range_are_input_errors(capsys):
-    # A 401-digit scalar is exact until the float layer converts it.
+    # A 401-digit scalar is exact until the float layer converts it.  A point
+    # mass's angle never is (see the test below), so its coefficient is used.
     big = "1" + "0" * 400
     for argv in (("norm", "--gens", "1", "--expr", f"{big}*T(1)", "--dim", "4"),
-                 ("convolve", "--gens", "2,3", "--functional", f"pm({big})",
+                 ("convolve", "--gens", "2,3", "--functional", f"lin({big}*pm(1/3))",
                   "--functional", "haar", "--expr", "T(2)")):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -461,6 +462,38 @@ def test_scalars_past_the_float_range_are_input_errors(capsys):
         assert (code, doc["schema"], doc["error"]["kind"]) == (2, cli.SCHEMA, "input"), argv
         assert "too large" in doc["error"]["message"]
         assert captured.out.endswith("}\n") and captured.err.startswith("error: ")
+
+
+def test_multiplier_is_bounded_by_the_letter_budget(capsys):
+    # m * max-len * 3 over S(2,3): 55,555 * 6 * 3 is within 1,000,000, one more is not.
+    code, out = run_cli(capsys, "morphism", "--from", "2,3", "--to", "1", "--mult", "55555")
+    assert code in (0, 1) and "error" not in json.loads(out)
+    for mult in ("55556", "1" + "0" * 400):
+        code, out = run_cli(capsys, "morphism", "--from", "2,3", "--to", "1", "--mult", mult)
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("--mult * --max-len * 3 must be")
+
+
+def test_point_mass_angles_are_exact_turns(capsys):
+    # 10^400/3 turns is 1/3 turn past a whole number of turns: the phase is
+    # reduced on the integers, so the value is pm(1/3)'s to the last bit.
+    big = "1" + "0" * 400
+    values = []
+    for turns in (f"{big}/3", "1/3"):
+        code, out = run_cli(capsys, "convolve", "--gens", "2,3", "--functional", f"pm({turns})",
+                            "--functional", "haar", "--expr", "T(2) + T*(3)*T(2)*T(3)")
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1]
+
+
+def test_fourier_suite_passes_at_large_indices(capsys):
+    # The corpus over S(313,317) reaches index 1,260: the circle action holds
+    # to 1e-12 because each phase reduces c*t modulo one turn exactly.
+    code, out = run_cli(capsys, "check", "--gens", "313,317", "--suite", "fourier")
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"]
+    assert [r["tolerance"] for r in doc["reports"]] == [1e-9, 1e-12, 1e-12, 1e-9]
 
 
 def test_only_ascii_digits_are_numbers(capsys):

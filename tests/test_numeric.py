@@ -82,7 +82,7 @@ def test_truncate_matches_dense_reference():
                                            for _ in range(rng.randint(1, 4))))).scale(
                     rng.choice((ONE, GaussianRational(-2), I_UNIT)))
             elements.append(rep(x))
-        elements.append(gauge_twist(elements[0], 0.7))  # complex weights
+        elements.append(gauge_twist(elements[0], Fraction(1, 9)))  # complex weights
         for a in elements:
             values = [v for tail, exceptions in reference_weights(a).values()
                       for v in (tail, *exceptions.values())]
@@ -179,32 +179,33 @@ def test_norm_convergence_small():
 
 
 def test_gauge_twist_examples():
+    # Angles are turns: an eighth of a turn at index 2 is a quarter turn, i.
     t2 = from_monomial(elementary(S23, 2, False))
-    theta = 0.77
-    twisted = gauge_twist(t2, theta)
-    expect = t2.scale(np.exp(2j * theta))
-    assert twisted.deviation_from(expect) < 1e-14
+    twisted = gauge_twist(t2, Fraction(1, 8))
+    assert twisted.deviation_from(t2.scale(1j)) < 1e-14
+    assert gauge_twist(t2, 0.125) == twisted  # a float is read exactly
 
-    assert gauge_twist(t2, 0.0).deviation_from(t2) == 0.0
+    assert gauge_twist(t2, 0).deviation_from(t2) == 0.0
 
     p = rep(FreeElement.monomial(evaluate_word(S23, ((2, False), (2, True)))))
-    assert gauge_twist(p, 1.23).deviation_from(p) < 1e-14
+    assert gauge_twist(p, Fraction(1, 5)).deviation_from(p) < 1e-14
 
 
 def test_gauge_twist_rotates_symbol():
-    # The circle action on the symbol: coefficient c picks up exp(i*c*theta).
+    # The circle action on the symbol: coefficient c picks up exp(2*pi*i*c*t).
     t2 = from_monomial(elementary(S23, 2, False))
     a = rep(FreeElement.monomial(evaluate_word(S23, ((2, False), (3, True))))
             + FreeElement.monomial(elementary(S23, 3, False)).scale(I_UNIT)
             + FreeElement.monomial(elementary(S23, 2, True)).scale(GaussianRational(2, -1)))
     for x in (t2, a):
         f = x.symbol()
-        for theta in (0.5, -1.3, 2.9):
-            twisted = gauge_twist(x, theta)
+        for t in (Fraction(1, 12), Fraction(-1, 5), Fraction(4, 9)):
+            twisted = gauge_twist(x, t)
             g = twisted.symbol()
             assert set(g.terms) == set(f.terms)
             for c, v in f.terms.items():
-                assert abs(g.terms.get(c, ZERO) - cmath.exp(1j * c * theta) * complex(v)) < 1e-12
+                phase = cmath.exp(2j * math.pi * c * float(t))
+                assert abs(g.terms.get(c, ZERO) - phase * complex(v)) < 1e-12
             _lifted, ideal_part = twisted.split()
             assert ideal_part.in_ideal() and not twisted.in_ideal()
 
@@ -214,7 +215,7 @@ def test_gauge_group_action():
     a = rep(FreeElement.monomial(evaluate_word(S23, ((2, False), (3, True))))
             + FreeElement.monomial(elementary(S23, 3, False)).scale(I_UNIT))
     for _ in range(10):
-        t1, t2 = rng.uniform(0, 6.3), rng.uniform(0, 6.3)
+        t1, t2 = (Fraction(rng.randrange(1 << 20), 1 << 20) for _ in range(2))
         once = gauge_twist(a, t1 + t2)
         twice = gauge_twist(gauge_twist(a, t1), t2)
         assert twice.deviation_from(once) < 1e-12
@@ -224,9 +225,9 @@ def test_complex_adjoint_and_conjugation_are_exact():
     # adjoint and shift conjugation move complex terms without arithmetic,
     # so their exact identities hold for complex coefficients too.
     b = from_monomial(elementary(S23, 3, True))
-    x = gauge_twist(b, 0.3)
+    x = gauge_twist(b, Fraction(1, 20))
     assert x.adjoint().adjoint() == x
-    assert gauge_twist(b, 0.0).conjugate(2) == gauge_twist(b.conjugate(2), 0.0)
+    assert gauge_twist(b, 0).conjugate(2) == gauge_twist(b.conjugate(2), 0)
 
 
 def test_fourier_project_examples():
@@ -264,11 +265,10 @@ def test_fourier_recovers_all_grades():
 def sample_by_sample_projection(a, target_index, samples):
     """fourier_project's reference: the running sum of one full gauge twist per sample."""
     acc = OperatorElement.zero(a.semigroup)
-    base = gauge_twist(a, 0.0)  # the same weights as complex numbers, converted once
+    base = gauge_twist(a, 0)  # the same weights as complex numbers, converted once
     for k in range(samples):
-        theta = 2.0 * math.pi * k / samples
-        phase = cmath.exp(-1j * target_index * theta) / samples
-        acc = acc + gauge_twist(base, theta).scale(phase)
+        phase = cmath.exp(-2j * math.pi * target_index * k / samples) / samples
+        acc = acc + gauge_twist(base, Fraction(k, samples)).scale(phase)
     return acc
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (group_like_reference, group_like_survey, operator_coordinates,
-                      pairwise_descent_witness, pairwise_morphism_falsify)
+                      pairwise_descent_witness, pairwise_morphism_falsify,
+                      pointwise_descent_witness)
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
 from sgalg.translations import compose, elementary, evaluate_word, max_translation
@@ -328,6 +329,22 @@ def test_descent_witness_matches_the_pairwise_reference(gens):
     for vec in kernel:
         x = FreeElement(s, {monos[p]: c for p, c in vec})
         found, expected = descent_witness(x, window), pairwise_descent_witness(x, window)
+        assert expected is not None and found[0] == expected[0]
+        assert list(found[1].items()) == list(expected[1].items())
+
+
+@pytest.mark.parametrize("gens", [(3, 5), (31, 37), (99, 101)])
+def test_descent_witness_matches_the_pointwise_reference(gens):
+    # Every probe suite_descent passes: one point per domain cell finds the
+    # witness and values that every left-out point does.
+    s = NumericalSemigroup(gens)
+    monos = sorted(distinct_monomials(s, 6), key=lambda v: v.sort_key)
+    window = max([10] + [v.mask.bit_length() + 2 for v in monos])
+    probes = [x for x in (FreeElement(s, {monos[p]: c for p, c in vec})
+                          for vec in monomial_kernel(monos)) if rep(x).is_zero]
+    assert probes
+    for x in probes:
+        found, expected = descent_witness(x, window), pointwise_descent_witness(x, window)
         assert expected is not None and found[0] == expected[0]
         assert list(found[1].items()) == list(expected[1].items())
 

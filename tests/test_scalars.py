@@ -1,11 +1,13 @@
+import cmath
 import math
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, strategies as st
 
-from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
+from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO, turn_phase
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -160,3 +162,15 @@ def test_mixing_with_complex_gives_complex():
                     assert isinstance(right, complex)
                     assert right == op(complex(z), complex(g))
     assert GaussianRational(1) != 1 + 0j and 1 + 0j != GaussianRational(1)
+
+
+def test_turn_phase_reduces_exactly_at_large_indices():
+    # The reference reduces c*t modulo one turn with Fraction arithmetic.
+    rng = random.Random(5)
+    turns = [Fraction(1, 3), Fraction(-355, 113), Fraction(0.1), Fraction(1, 1 << 20), 7]
+    turns += [Fraction(rng.randrange(1 << 20), 1 << 20) for _ in range(20)]
+    for t in turns:
+        for c in (10**6, -10**6, 10**6 + 1, 1, 0):
+            expected = cmath.exp(2j * math.pi * float(Fraction(c * t) % 1))
+            assert abs(turn_phase(c, t) - expected) <= 1e-15, (c, t)
+    assert turn_phase(0, Fraction(1, 3)) == 1 and type(turn_phase(0, 0)) is complex
