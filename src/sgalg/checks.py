@@ -31,6 +31,8 @@ from .numeric import (fourier_project, gauge_twist, laurent_sup_norm,
 SUITE_NAMES = ("order", "inverse", "grading", "symbol", "weakhopf", "haar",
                "coideal", "descent", "fourier", "norms", "shift37")
 _UNSEEDED = ("coideal", "norms", "shift37")
+# haar's absorbing claim: complex values from point masses agree within it, exact ones exactly
+_ABSORBING_TOL = 1e-12
 
 
 def _report(claim: str, parameters: dict, computed, expected, tolerance, passed: bool) -> dict:
@@ -62,12 +64,12 @@ def _render(case):
 
 
 def _spell(xi) -> Optional[str]:
-    """A functional in the `--functional` grammar; None for shift pullbacks,
-    weighted point masses and anything that is not a functional."""
+    """A functional in the `--functional` grammar; None for shift pullbacks
+    and anything that is not a functional."""
     if isinstance(xi, fns.MatrixCoeff):
         return f"w[{xi.a},{xi.b}]"
     if isinstance(xi, fns.SymbolPointMass):
-        return f"pm({xi.turns})" if xi.weight == 1 else None
+        return f"pm({xi.turns})"
     if isinstance(xi, fns.Convolution):
         left, right = _spell(xi.left), _spell(xi.right)
         return f"conv({left},{right})" if left and right else None
@@ -207,9 +209,9 @@ def suite_order(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
 # -- inverse-semigroup suite --------------------------------------------------------
 
 
-def suite_inverse(s: NumericalSemigroup, seed: int = 0, n_words: int = 1000,
-                  max_len: int = 8) -> list[dict]:
+def suite_inverse(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
     rng = _rng("inverse", s, seed)
+    n_words, max_len = 1000, 8
     window = 2 * (s.frobenius + max_len * max(s.generators)) + 2
     points = ((2 << window) - 1) & ~s.gapmask  # the members up to the window
 
@@ -280,9 +282,9 @@ def suite_inverse(s: NumericalSemigroup, seed: int = 0, n_words: int = 1000,
 # -- grading suite --------------------------------------------------------------------
 
 
-def suite_grading(s: NumericalSemigroup, seed: int = 0, n_elements: int = 500) -> list[dict]:
+def suite_grading(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
     rng = _rng("grading", s, seed)
-    corpus = [random_operator(rng, s) for _ in range(n_elements)]
+    corpus = [random_operator(rng, s) for _ in range(500)]
     zero = OperatorElement.zero(s)
 
     def convolves(a, b):
@@ -304,7 +306,7 @@ def suite_grading(s: NumericalSemigroup, seed: int = 0, n_elements: int = 500) -
 
     return [
         _forall("every element is the sum of its graded components",
-                {"semigroup": str(s), "elements": n_elements, "seed": seed},
+                {"semigroup": str(s), "elements": 500, "seed": seed},
                 (corpus, lambda a: sum((a.grade(c) for c in a.indices()), zero) == a)),
         _forall("grading is multiplicative: products convolve the indices",
                 {"semigroup": str(s), "pairs": 120, "seed": seed},
@@ -324,7 +326,7 @@ def suite_grading(s: NumericalSemigroup, seed: int = 0, n_elements: int = 500) -
 # -- symbol suite ------------------------------------------------------------------------
 
 
-def suite_symbol(s: NumericalSemigroup, seed: int = 0, n_pairs: int = 500) -> list[dict]:
+def suite_symbol(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
     rng = _rng("symbol", s, seed)
 
     def multiplicative(a, b):
@@ -351,14 +353,14 @@ def suite_symbol(s: NumericalSemigroup, seed: int = 0, n_pairs: int = 500) -> li
 
     return [
         _forall("the symbol is a star-homomorphism onto the circle functions",
-                {"semigroup": str(s), "pairs": n_pairs, "seed": seed},
+                {"semigroup": str(s), "pairs": 500, "seed": seed},
                 (((random_operator(rng, s, max_terms=3, max_word_len=5),
                    random_operator(rng, s, max_terms=3, max_word_len=5))
-                  for _ in range(n_pairs)), multiplicative)),
+                  for _ in range(500)), multiplicative)),
         _forall("splitting is exact: lift plus ideal part reassembles the element",
-                {"semigroup": str(s), "elements": n_pairs, "seed": seed},
+                {"semigroup": str(s), "elements": 500, "seed": seed},
                 ((random_operator(rng, s, max_terms=4, max_word_len=5)
-                  for _ in range(n_pairs)), splits),
+                  for _ in range(500)), splits),
                 ((LaurentPolynomial({rng.randrange(-5, 6): rng.choice(_COEFF_POOL)
                                      for _ in range(rng.randint(1, 4))})
                   for _ in range(40)), lifts)),
@@ -375,16 +377,16 @@ def suite_symbol(s: NumericalSemigroup, seed: int = 0, n_pairs: int = 500) -> li
 # -- weak Hopf suite --------------------------------------------------------------------------
 
 
-def suite_weakhopf(s: NumericalSemigroup, seed: int = 0, n_elements: int = 500) -> list[dict]:
+def suite_weakhopf(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
     rng = _rng("weakhopf", s, seed)
-    corpus = [random_free_element(rng, s) for _ in range(n_elements)]
+    corpus = [random_free_element(rng, s) for _ in range(500)]
     return [
         _forall("both weak antipode axioms hold on the free algebra",
-                {"semigroup": str(s), "elements": n_elements, "seed": seed},
+                {"semigroup": str(s), "elements": 500, "seed": seed},
                 (corpus, weak_hopf_check)),
         _forall("the coproduct is an algebra map",
-                {"semigroup": str(s), "pairs": n_elements, "seed": seed},
-                (_draws(rng, corpus, n_elements), lambda x, y: coproduct(x * y)
+                {"semigroup": str(s), "pairs": 500, "seed": seed},
+                (_draws(rng, corpus, 500), lambda x, y: coproduct(x * y)
                  == quantum.tensor_multiply(coproduct(x), coproduct(y)))),
         _forall("the weak antipode is a linear involution fixing the identity",
                 {"semigroup": str(s), "seed": seed},
@@ -402,7 +404,8 @@ def coideal_splits(v, w) -> bool:
     return s1 + s2 == coproduct(comm)
 
 
-def suite_coideal(s: NumericalSemigroup, max_total_len: int = 4) -> list[dict]:
+def suite_coideal(s: NumericalSemigroup) -> list[dict]:
+    max_total_len = 4
     # Each distinct pair of monomials once, with the first words reaching it;
     # a pair is reached when the first words' lengths sum to at most the bound.
     by_len: dict[int, list] = {}
@@ -422,14 +425,13 @@ def suite_coideal(s: NumericalSemigroup, max_total_len: int = 4) -> list[dict]:
 # -- descent suite -----------------------------------------------------------------------------
 
 
-def suite_descent(s: NumericalSemigroup, seed: int = 0, window: Optional[int] = None,
-                  max_len: int = 6, corner_span: int = 4) -> list[dict]:
+def suite_descent(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
     rng = _rng("descent", s, seed)
+    max_len, corner_span = 6, 4
     monos = sorted(distinct_monomials(s, max_len), key=_pt_sort_key)
     kernel = list(monomial_kernel(monos))
-    if window is None:
-        # wide enough to reach past every domain threshold at this word length
-        window = max([10] + [v.mask.bit_length() + 2 for v in monos])
+    # wide enough to reach past every domain threshold at this word length
+    window = max([10] + [v.mask.bit_length() + 2 for v in monos])
     probes = [random_free_element(rng, s, max_terms=4, max_word_len=4)
               for _ in range(60)]
     # On a diagonal coproduct the diagonal pairs are the zero difference
@@ -481,22 +483,22 @@ def _scalars_close(a: fns.Scalar, b: fns.Scalar, tol: float) -> bool:
     return abs(a - b) <= tol
 
 
-def haar_property_check(phi: fns.Functional, x: FreeElement, tol: float = 1e-12) -> bool:
+def haar_property_check(phi: fns.Functional, x: FreeElement) -> bool:
     """Absorbing law through the identity coefficient, both product orders."""
     h = fns.haar()
     phi_at_identity = fns.evaluate(phi, FreeElement.identity(x.semigroup))
     expected = phi_at_identity * fns.evaluate(h, x)
     left = fns.evaluate(fns.convolve(h, phi), x)
     right = fns.evaluate(fns.convolve(phi, h), x)
-    return _scalars_close(left, expected, tol) and _scalars_close(right, expected, tol)
+    return all(_scalars_close(side, expected, _ABSORBING_TOL) for side in (left, right))
 
 
-def measure_convolution_check(alpha, beta, x: FreeElement, tol: float = 1e-10) -> bool:
+def measure_convolution_check(alpha, beta, x: FreeElement) -> bool:
     """Point-mass convolution agrees with the point mass at the summed angle."""
     pa, pb = fns.point_mass(alpha), fns.point_mass(beta)
     lhs = fns.evaluate(fns.convolve(pa, pb), x)
     rhs = fns.evaluate(fns.point_mass(Fraction(alpha) + Fraction(beta)), x)
-    return _scalars_close(lhs, rhs, tol)
+    return _scalars_close(lhs, rhs, 1e-10)
 
 
 def suite_haar(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
@@ -528,7 +530,7 @@ def suite_haar(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
     absorbing = _forall("the basis state at zero absorbs under convolution, both orders",
                         {"semigroup": str(s), "samples": 300, "seed": seed},
                         (((random_functional(), random_element()) for _ in range(300)),
-                         haar_property_check))
+                         haar_property_check), tolerance=_ABSORBING_TOL)
     triples = ((random_functional(), random_functional(), random_functional(),
                 random_element()) for _ in range(200))
     assoc, comm = _first_failures((
@@ -637,8 +639,7 @@ def default_norm_symbols() -> list[LaurentPolynomial]:
     ]
 
 
-def norm_convergence(f: LaurentPolynomial, semigroup: NumericalSemigroup,
-                     dims: Sequence[int] = (64, 128, 256, 512), band: float = 0.05) -> dict:
+def norm_convergence(f: LaurentPolynomial, semigroup: NumericalSemigroup) -> dict:
     """Truncated norms of the lifted symbol against the circle sup norm.
 
     Each truncation is the leading block of the next, so the exact norms never
@@ -646,8 +647,7 @@ def norm_convergence(f: LaurentPolynomial, semigroup: NumericalSemigroup,
     (1e-12 relative to the value, at least 1e-12) and must land within the
     acceptance band at the largest dimension.
     """
-    if list(dims) != sorted(dims):
-        raise ValueError("dimensions must increase")
+    dims, band = (64, 128, 256, 512), 0.05
     largest = truncate(toeplitz_lift(f, semigroup), dims[-1])
     values = [operator_norm(largest[:n, :n]) for n in dims]
     sup, sup_err = laurent_sup_norm(f)
@@ -662,9 +662,8 @@ def norm_convergence(f: LaurentPolynomial, semigroup: NumericalSemigroup,
                    monotone and final_gap <= band)
 
 
-def suite_norms(s: NumericalSemigroup, dims: Sequence[int] = (64, 128, 256, 512),
-                band: float = 0.05) -> list[dict]:
-    reports = [norm_convergence(f, s, dims=dims, band=band) for f in default_norm_symbols()]
+def suite_norms(s: NumericalSemigroup) -> list[dict]:
+    reports = [norm_convergence(f, s) for f in default_norm_symbols()]
 
     ident = operator_norm(truncate(OperatorElement.identity(s), 32))
     shift = operator_norm(truncate(from_monomial(elementary(s, s.generators[0], False)), 32))

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .scalars import GaussianRational
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, bit_positions
 from .quantum import coproduct, group_like_detect, rep
 from . import functionals as fns
 from .exprparse import MAX_LETTERS, ExprError, parse_element, parse_functional
@@ -154,15 +154,18 @@ def cmd_coproduct(args) -> int:
     doc = _base("coproduct", generators=list(s.generators), expr=args.expr,
                 tensor=t.to_json_list())
     if args.pairs:
-        members = s.members_upto(s.element_at(args.pairs - 1))
-        table = []
-        for c in members:
-            for d in members:
-                vals = t.apply((c, d))
-                if vals:
-                    table.append([[c, d], [[list(k), str(v)]
-                                           for k, v in sorted(vals.items())]])
-        doc["pair_action"] = table
+        # FreeTensor.apply's sums on the first N members, each term's kept points read once
+        window = ((2 << s.element_at(args.pairs - 1)) - 1) & ~s.gapmask
+        action: dict = {}
+        for (v, w), coeff in t.terms.items():
+            kept = [(d, d + w.index) for d in bit_positions(window & ~w.mask)]
+            for c in bit_positions(window & ~v.mask):
+                for d, image_d in kept:
+                    vals = action.setdefault((c, d), {})
+                    key = (c + v.index, image_d)
+                    vals[key] = vals[key] + coeff if key in vals else coeff
+        doc["pair_action"] = [[list(p), [[list(k), str(v)] for k, v in sorted(vals.items()) if v]]
+                              for p, vals in sorted(action.items()) if any(vals.values())]
     _emit(doc)
     return 0
 

@@ -30,12 +30,11 @@ class MatrixCoeff:
 
 @dataclass(frozen=True)
 class SymbolPointMass:
-    """Point evaluation of the symbol at angle 2*pi*turns, scaled by weight.
+    """Point evaluation of the symbol at angle 2*pi*turns.
 
     Sees only the monomial index, so it annihilates the commutator ideal.
     """
     turns: Fraction
-    weight: complex = 1.0
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,8 @@ def haar() -> Functional:
     return MatrixCoeff(0, 0)
 
 
-def point_mass(turns, weight: complex = 1.0) -> Functional:
-    return SymbolPointMass(Fraction(turns), complex(weight))
+def point_mass(turns) -> Functional:
+    return SymbolPointMass(Fraction(turns))
 
 
 def lin_combo(terms: Sequence[tuple[GaussianRational, Functional]]) -> Functional:
@@ -90,7 +89,7 @@ def eval_on_monomial(xi: Functional, v: PartialTranslation) -> Scalar:
             return ONE
         return ZERO
     if kind is SymbolPointMass:
-        return xi.weight * turn_phase(v.index, xi.turns)
+        return turn_phase(v.index, xi.turns)
     if kind is LinCombo:
         return sum((c * eval_on_monomial(f, v) for c, f in xi.terms), ZERO)
     if kind is Convolution:

@@ -34,26 +34,33 @@ def _all_pass(reports) -> bool:
     return all(r["pass"] for r in reports)
 
 
+def _passes_at(reports, **sizes) -> bool:
+    """Every report passes, and each size is printed, at this value, by every
+    report whose parameters name it and by at least one."""
+    printed = [r["parameters"] for r in reports]
+    return _all_pass(reports) and all(
+        any(k in p for p in printed) and all(p[k] == v for p in printed if k in p)
+        for k, v in sizes.items())
+
+
 def test_criterion_1_inverse_semigroup_suite():
-    ok = all(_all_pass(suite_inverse(s, n_words=1000, max_len=8))
-             for s in (Z, S23, S35))
+    ok = all(_passes_at(suite_inverse(s), words=1000, max_len=8) for s in (Z, S23, S35))
     _criterion(1, "inverse-semigroup suite, 3 semigroups x 1000 words", ok)
 
 
 def test_criterion_2_grading_expectation_suite():
-    ok = all(_all_pass(suite_grading(s, n_elements=500)) for s in (Z, S23))
+    ok = all(_passes_at(suite_grading(s), elements=500) for s in (Z, S23))
     _criterion(2, "grading and expectation, 500 random elements", ok)
 
 
 def test_criterion_3_symbol_ideal_suite():
-    ok = all(_all_pass(suite_symbol(s, n_pairs=500)) for s in (Z, S23))
+    ok = all(_passes_at(suite_symbol(s), pairs=500) for s in (Z, S23))
     _criterion(3, "symbol homomorphism, splitting, ideal membership", ok)
 
 
 def test_criterion_4_weak_hopf_suite():
-    ok = all(_all_pass(suite_weakhopf(s, n_elements=500)) for s in (Z, S23))
-    ok = ok and _all_pass(suite_coideal(S23, max_total_len=4))
-    ok = ok and _all_pass(suite_coideal(Z, max_total_len=4))
+    ok = all(_passes_at(suite_weakhopf(s), elements=500, pairs=500) for s in (Z, S23))
+    ok = ok and all(_passes_at(suite_coideal(s), max_total_word_len=4) for s in (S23, Z))
     _criterion(4, "weak antipode axioms, coideal identity", ok)
 
 
@@ -124,14 +131,14 @@ def test_criterion_9_descent_findings():
     ok = ok and all(coproduct(x).apply((a, a)) == {}
                     for a in S23.members_upto(12))
 
-    ok = ok and _all_pass(suite_descent(S23, max_len=6))
+    ok = ok and _passes_at(suite_descent(S23), max_word_len=6)
     # over the baseline: monomials independent and corner classes consistent
-    ok = ok and _all_pass(suite_descent(Z, max_len=6, corner_span=4))
+    ok = ok and _passes_at(suite_descent(Z), max_word_len=6, classes=4)
     _criterion(9, "descent dependence with tensor witness; baseline injectivity", ok)
 
 
 def test_criterion_10_analytic_suite():
-    ok = all(_all_pass(suite_norms(s, dims=(64, 128, 256, 512), band=0.05))
+    ok = all(_passes_at(suite_norms(s), dims=[64, 128, 256, 512], band=0.05)
              for s in (Z, S23))
     ok = ok and all(_all_pass(suite_fourier(s)) for s in (Z, S23))
     _criterion(10, "truncated norms within 0.05; Fourier 1e-9; gauge 1e-12", ok)

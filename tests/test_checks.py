@@ -78,7 +78,7 @@ def corrupt_word_action(monkeypatch):
 
 def test_inverse_counterexample_replays(monkeypatch):
     corrupt_word_action(monkeypatch)
-    reports = checks.suite_inverse(S23, n_words=60)
+    reports = checks.suite_inverse(S23)
     (report,) = failing(reports)
     assert report["claim"] == "normal forms reproduce the letter-by-letter basis action"
     computed = report["computed"]
@@ -108,7 +108,7 @@ def test_weakhopf_counterexample_replays(monkeypatch):
         return product if len(product.terms) < 6 else type(product)(product.semigroup, {})
 
     monkeypatch.setattr(quantum, "tensor_multiply", corrupted)
-    reports = checks.suite_weakhopf(S23, n_elements=40)
+    reports = checks.suite_weakhopf(S23)
     (report,) = failing(reports)
     assert report["claim"] == "the coproduct is an algebra map"
     counterexample = report["computed"]["counterexample"]
@@ -188,7 +188,8 @@ def test_functional_counterexamples_replay_through_the_cli_grammar(monkeypatch):
                          (GaussianRational(Fraction(-1, 2), -1), fns.haar())])
     assert checks._render(lin) == "lin(0+1i*w[0,2] + -1/2-1i*w[0,0])"
     assert parse_functional(checks._render(lin), S23) == lin
-    assert checks._render(fns.point_mass(Fraction(1, 3), 2)).startswith("SymbolPointMass(")
+    pullback = fns.phi_star(fns.point_mass(Fraction(1, 3)), S23, 2)
+    assert checks._render(pullback) == str(pullback) and str(pullback).startswith("ShiftPullback(")
 
 
 def nested_loop_pairs(s, max_total_len):

@@ -1,11 +1,13 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
-from sgalg import cli
+from sgalg import checks, cli
 from sgalg.cli import main
+from sgalg.quantum import coproduct
 from sgalg.semigroup import NumericalSemigroup
 
 
@@ -251,6 +253,24 @@ def test_coproduct(capsys):
     doc = json.loads(out)
     assert len(doc["tensor"]) == 1
     assert doc["pair_action"][0] == [[0, 0], [[[2, 2], "1"]]]
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (31, 37), (99, 101)])
+def test_coproduct_pair_table_matches_apply(capsys, monkeypatch, gens):
+    # The table reads each term's kept points once; FreeTensor.apply, pair by
+    # pair, is its reference.  Seeded free elements stand in for the parse.
+    s = NumericalSemigroup(gens)
+    rng = random.Random(f"pair-table:{gens}")
+    for _ in range(4):
+        x = checks.random_free_element(rng, s)
+        monkeypatch.setattr(cli, "parse_element", lambda _text, _s, x=x: x)
+        code, out = run_cli(capsys, "coproduct", "--gens", ",".join(map(str, gens)),
+                            "--expr", "I", "--pairs", "40")
+        members = s.members_upto(s.element_at(39))
+        expected = [[[c, d], [[list(k), str(v)] for k, v in sorted(vals.items())]]
+                    for c in members for d in members
+                    if (vals := coproduct(x).apply((c, d)))]
+        assert code == 0 and json.loads(out)["pair_action"] == expected
 
 
 def test_morphism_exit_codes(capsys):

@@ -3,12 +3,17 @@
 Claims are decided in `checks` alone: the float layer computes from the
 scalars and the operator form only, and the library layers never reach up
 into the suites; only the CLI, which dispatches to them, imports `checks`.
-And the package defines nothing that only the tests reach.
+And the package defines nothing that only the tests reach, and no suite
+takes a size that only the tests set.
 """
 
 import ast
+import inspect
 import re
+from collections import Counter
 from pathlib import Path
+
+from sgalg import checks
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sgalg"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -45,6 +50,9 @@ def test_every_definition_is_named_elsewhere_in_the_package():
     # reached only from the tests; the re-exports of __init__ do not count.
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
     text = "\n".join(sources.values())
+    # Each maximal word token is one whole-word mention; counted in one pass.
+    mentions = Counter(re.findall(r"\w+", text))
+    definitions = Counter(re.findall(r"\b(?:def|class) (\w+)", text))
     unnamed = []
     for module, source in sorted(sources.items()):
         for node in ast.walk(ast.parse(source)):
@@ -54,8 +62,19 @@ def test_every_definition_is_named_elsewhere_in_the_package():
             if (name.startswith("__") and name.endswith("__") or name in NAMED_OUTSIDE
                     or module == "checks" and name.startswith("suite_")):
                 continue
-            mentions = len(re.findall(rf"\b{name}\b", text))
-            definitions = len(re.findall(rf"\b(?:def|class) {name}\b", text))
-            if mentions == definitions:
+            if mentions[name] == definitions[name]:
                 unnamed.append(f"{module}.{name}")
     assert unnamed == []
+
+
+def test_suites_take_only_a_semigroup_and_a_seed():
+    # A suite's sizes, windows and bands are constants printed in its reports'
+    # parameters; shift37 is a fixed regression over S(2,3) that ignores s.
+    for name in checks.SUITE_NAMES:
+        if name == "shift37":
+            continue
+        params = inspect.signature(getattr(checks, f"suite_{name}")).parameters.values()
+        expected = [("s", inspect.Parameter.empty)]
+        if name not in checks._UNSEEDED:
+            expected.append(("seed", 0))
+        assert [(p.name, p.default) for p in params] == expected, name

@@ -134,10 +134,9 @@ def test_laurent_sup_norm_examples():
     assert abs(value - 2.0) <= bound + 1e-12
 
     h = LaurentPolynomial({2: ONE, -3: ONE})
-    value, bound = laurent_sup_norm(h, samples=4096)
+    value, bound = laurent_sup_norm(h)
     assert 1.9 < value <= 2.0 + 1e-9
-    with pytest.raises(ValueError):
-        laurent_sup_norm(g, samples=4)
+    assert bound == math.pi * 3 * 2 / 4096  # the grid is 4096 points
 
 
 def test_laurent_sup_norm_matches_scalar_loop():
@@ -146,34 +145,36 @@ def test_laurent_sup_norm_matches_scalar_loop():
         loop = max(abs(sum(complex(v) * cmath.exp(1j * c * (2.0 * math.pi * k / samples))
                            for c, v in f.terms.items()))
                    for k in range(samples))
-        value, _bound = laurent_sup_norm(f, samples)
+        value, _bound = laurent_sup_norm(f)
         assert abs(value - loop) < 1e-14
 
 
 def test_laurent_sup_norm_off_symmetric_and_congruent_exponents():
     # Generic phases, so the maximum is not the coefficient sum, and exponents
-    # congruent mod the sample count, whose coefficients must add.
+    # congruent mod the 4096 grid points (4101 and 5, -4095 and 1, 4113 and
+    # 17), whose coefficients must add.  The loop reduces c·k mod 4096 exactly.
     f = LaurentPolynomial({0: GaussianRational(1, 1), 1: GaussianRational(-2),
                            -3: GaussianRational(Fraction(1, 2), 3), 5: I_UNIT,
-                           17: ONE, 21: GaussianRational(0, -3)})
-    for samples in (16, 17, 64, 4096):
-        loop = max(abs(sum(complex(v) * cmath.exp(1j * c * (2.0 * math.pi * k / samples))
-                           for c, v in f.terms.items()))
-                   for k in range(samples))
-        value, _bound = laurent_sup_norm(f, samples)
-        assert abs(value - loop) < 1e-13
+                           17: ONE, 21: GaussianRational(0, -3), 4101: GaussianRational(2),
+                           -4095: GaussianRational(-1, 2), 4113: GaussianRational(0, 1)})
+    samples = 4096
+    loop = max(abs(sum(complex(v) * cmath.exp(2j * math.pi * (c * k % samples) / samples)
+                       for c, v in f.terms.items()))
+               for k in range(samples))
+    value, _bound = laurent_sup_norm(f)
+    assert abs(value - loop) < 1e-13
 
 
 def test_norm_convergence_small():
-    report = norm_convergence(LaurentPolynomial({1: ONE, -1: ONE}), Z,
-                              dims=(16, 32, 64), band=0.05)
+    report = norm_convergence(LaurentPolynomial({1: ONE, -1: ONE}), Z)
     assert report["pass"]
+    assert report["parameters"]["dims"] == [64, 128, 256, 512]
+    assert report["parameters"]["band"] == 0.05
     values = report["computed"]["norms"]
     assert values == sorted(values)
     assert abs(values[-1] - 2.0) < 0.05
 
-    const = norm_convergence(LaurentPolynomial({0: GaussianRational(7)}), S23,
-                             dims=(8, 16), band=0.05)
+    const = norm_convergence(LaurentPolynomial({0: GaussianRational(7)}), S23)
     assert const["pass"]
     assert all(abs(v - 7.0) < 1e-8 for v in const["computed"]["norms"])
 

@@ -223,7 +223,7 @@ def test_parse_functionals():
     assert ep.parse_functional("haar", S23) == fns.MatrixCoeff(0, 0)
     assert ep.parse_functional("w[3,2]", S23) == fns.MatrixCoeff(3, 2)
     pm = ep.parse_functional("pm(1/3)", S23)
-    assert pm == fns.SymbolPointMass(Fraction(1, 3), 1.0)
+    assert pm == fns.SymbolPointMass(Fraction(1, 3))
     conv = ep.parse_functional("conv(haar, w[2,2])", S23)
     assert conv == fns.Convolution(fns.MatrixCoeff(0, 0), fns.MatrixCoeff(2, 2))
     lin = ep.parse_functional("lin(2*haar + 1/2*w[0,0] - 3*pm(1/4))", S23)
@@ -232,23 +232,23 @@ def test_parse_functionals():
 
     haar = fns.MatrixCoeff(0, 0)
     table = {
-        "pm(-6/5)": fns.SymbolPointMass(Fraction(-6, 5), 1.0),
+        "pm(-6/5)": fns.SymbolPointMass(Fraction(-6, 5)),
         "lin(-1*haar)": fns.LinCombo(((GaussianRational(-1), haar),)),
         "lin(1-1i*haar)": fns.LinCombo(((GaussianRational(1, -1), haar),)),
         "lin(-1/2+3i*w[0,2])": fns.LinCombo(((GaussianRational(Fraction(-1, 2), 3),
                                               fns.MatrixCoeff(0, 2)),)),
         "conv(conv(haar, w[0,2]), pm(1/4))": fns.Convolution(
             fns.Convolution(haar, fns.MatrixCoeff(0, 2)),
-            fns.SymbolPointMass(Fraction(1, 4), 1.0)),
+            fns.SymbolPointMass(Fraction(1, 4))),
         " haar ": haar,
         "w[ 3 , 2 ]": fns.MatrixCoeff(3, 2),
-        "pm( 1 / 3 )": fns.SymbolPointMass(Fraction(1, 3), 1.0),
+        "pm( 1 / 3 )": fns.SymbolPointMass(Fraction(1, 3)),
         "conv( haar ,w[2,2] )": fns.Convolution(haar, fns.MatrixCoeff(2, 2)),
         "lin(1 - 1 i * haar)": fns.LinCombo(((GaussianRational(1, -1), haar),)),
         "lin( 2*haar + 1/2 * w[0,0] -3*pm(1/4) )": fns.LinCombo((
             (GaussianRational(2), haar),
             (GaussianRational(Fraction(1, 2)), haar),
-            (GaussianRational(-3), fns.SymbolPointMass(Fraction(1, 4), 1.0)))),
+            (GaussianRational(-3), fns.SymbolPointMass(Fraction(1, 4))))),
     }
     for text, expected in table.items():
         assert ep.parse_functional(text, S23) == expected, text

@@ -90,10 +90,13 @@ def test_results_stored_without_coercion_are_clean(gens):
     s = NumericalSemigroup(gens)
     rng = random.Random(f"clean:{gens}")
     g = s.generators[0]
-    assert OperatorElement.collect(s, [((g, None), ONE), ((g, None), -ONE), ((0, None), 2),
-                                       ((g, 0), Fraction(1, 2)), ((g, 0), Fraction(-1, 2)),
-                                       ((-g, None), 0.5j), ((-g, None), -0.5j)]).terms \
-        == {(0, None): GaussianRational(2)}
+    # collect does not coerce, so it is given the exact and complex scalars it keeps.
+    half = GaussianRational(Fraction(1, 2))
+    collected = OperatorElement.collect(s, [((g, None), ONE), ((g, None), -ONE),
+                                            ((0, None), GaussianRational(2)),
+                                            ((g, 0), half), ((g, 0), -half),
+                                            ((-g, None), 0.5j), ((-g, None), -0.5j)])
+    assert collected.terms == {(0, None): GaussianRational(2)} and is_clean(collected)
     for _ in range(10):
         x, y = (checks.random_free_element(rng, s) for _ in range(2))
         a, b = rep(x), rep(y)
