@@ -14,13 +14,13 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .scalars import Combination, GaussianRational, ONE, ZERO
 from .semigroup import NumericalSemigroup, bit_positions, morphism_multipliers
 from .operators import OperatorElement, from_monomial, monomial_terms
-from .translations import (Letter, PartialTranslation, Word, _leaving, cell_points,
-                           compose, elementary, evaluate_word)
+from .translations import (PartialTranslation, Word, _leaving, _translation, cell_points,
+                           compose, compose_state, elementary, evaluate_word)
 
 
 _pt_sort_key = operator.attrgetter("sort_key")
@@ -254,66 +254,43 @@ def letters_of(semigroup: NumericalSemigroup) -> list[tuple[int, bool]]:
 
 def enumerate_words(semigroup: NumericalSemigroup, max_len: int
                     ) -> Iterator[tuple[Word, PartialTranslation]]:
-    """All non-empty words up to max_len, one by one: first_words' brute-force reference."""
+    """All non-empty words up to max_len, one by one: distinct_monomials' brute-force reference."""
     letters = letters_of(semigroup)
     for length in range(1, max_len + 1):
         for combo in itertools.product(letters, repeat=length):
             yield combo, evaluate_word(semigroup, combo)
 
 
-def first_words(start: Hashable, steps: Sequence[tuple[Letter, Callable]],
-                max_len: int) -> dict:
-    """Each value that non-empty words of at most max_len letters reach from start,
-    mapped to its first word: shortest first, then in letter order.
-
-    steps pairs each letter with the map that puts it in front of a value.  A
-    word's value depends only on its first letter and the value of the rest,
-    so the search is breadth-first, one node per value; start is a key only
-    when a non-empty word reaches it.
-    """
-    out: dict = {}
-    frontier = [(start, ())]
-    for _ in range(max_len):
-        fresh = []
-        for letter, step in steps:
-            for rest, rest_word in frontier:
-                value = step(rest)
-                if value not in out:
-                    out[value] = word = (letter,) + rest_word
-                    fresh.append((value, word))
-        frontier = fresh
-    return out
-
-
-def _numbering_step(v: PartialTranslation, pts: list, number: dict, move: dict):
-    """v put in front of numbered monomials: one compose per number, new products numbered."""
-    def step(i: int) -> int:
-        j = move.get(i)
-        if j is None:
-            u = compose(v, pts[i])
-            j = move[i] = number.setdefault(u, len(pts))
-            if j == len(pts):
-                pts.append(u)
-        return j
-    return step
-
-
 def _source_automaton(semigroup: NumericalSemigroup, max_len: int) -> tuple:
     """The monomials short words reach, numbered (the identity 0, the rest in
-    first-word order); each reached number's first word; per letter, its moves
-    i -> j from every monomial reached by fewer than max_len letters."""
-    pts = [elementary(semigroup, 0, False)]
-    number, letters = {pts[0]: 0}, letters_of(semigroup)
+    first-word order: shortest first, then in letter order); the first word of
+    each number a non-empty word reaches; per letter, its moves i -> j from every
+    monomial reached by fewer than max_len letters; and those numbers by level.
+    The walk is breadth-first over (index, mask) states: a word's value depends
+    only on its first letter and the value of the rest."""
+    letters = letters_of(semigroup)
+    number, words = {(0, 0): 0}, {}
     moves: list[dict] = [{} for _ in letters]
-    steps = [(l, _numbering_step(elementary(semigroup, *l), pts, number, move))
-             for l, move in zip(letters, moves)]
-    return pts, first_words(0, steps, max_len), moves
+    frontier, levels = [(0, (0, 0), ())], []
+    for _ in range(max_len):
+        levels.append([k for k, _, _ in frontier])
+        fresh = []
+        for letter, move in zip(letters, moves):
+            v = elementary(semigroup, *letter)
+            for k, state, rest in frontier:
+                reached = compose_state(v, state)
+                j = move[k] = number.setdefault(reached, len(number))
+                if j not in words:
+                    words[j] = word = (letter,) + rest
+                    fresh.append((j, reached, word))
+        frontier = fresh
+    return [_translation(semigroup, *state) for state in number], words, moves, levels
 
 
 def distinct_monomials(semigroup: NumericalSemigroup, max_len: int
                        ) -> dict[PartialTranslation, Word]:
     """Canonical monomials reachable by short words, with their first words."""
-    pts, words, _ = _source_automaton(semigroup, max_len)
+    pts, words, _, _ = _source_automaton(semigroup, max_len)
     return {pts[i]: word for i, word in words.items()}
 
 
@@ -394,9 +371,10 @@ class MorphismWitness:
 def _falsifier_context(s1: NumericalSemigroup, max_word_len: int):
     """The source automaton, its reached numbers in monomial sort order, and a tee of
     their kernel: each copy replays the classes eliminated so far, then eliminates on."""
-    pts, words, moves = _source_automaton(s1, max_word_len)
+    pts, words, moves, levels = _source_automaton(s1, max_word_len)
     order = sorted(words, key=lambda i: pts[i].sort_key)
-    return words, moves, order, itertools.tee(monomial_kernel([pts[i] for i in order]), 1)[0]
+    kernel = itertools.tee(monomial_kernel([pts[i] for i in order]), 1)[0]
+    return words, moves, levels, order, kernel
 
 
 def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
@@ -408,32 +386,39 @@ def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
     dependence among source monomials must map to a dependence among the
     images (linear level).  Absence of a witness means "consistent up to this
     length", not that a morphism exists.  Witnesses are spelled with first
-    words (see first_words).
+    words (see _source_automaton).
     """
     if m < 0 or m not in morphism_multipliers(s1, s2, m):
         raise ValueError(f"{m} is not a morphism multiplier here")
-    words, moves, order, kernel = _falsifier_context(s1, max_word_len)
+    if m == 0:  # every image is the identity, and the widest-translation key
+        return None  # makes each dependence's coefficients sum to 0
+    words, moves, levels, order, kernel = _falsifier_context(s1, max_word_len)
 
-    # Semigroup level: search the (source, image) number pairs that words reach,
-    # images numbered as they appear; a source monomial with two images is a witness.
-    images = [elementary(s2, 0, False)]
-    image_number, steps = {images[0]: 0}, []
-    for (a, st), move in zip(letters_of(s1), moves):
-        to = _numbering_step(elementary(s2, m * a, st), images, image_number, {})
-        steps.append(((a, st), lambda pair, move=move, to=to: (move[pair[0]], to(pair[1]))))
-    image_for: dict[int, int] = {}
-    for (i, j), word in first_words((0, 0), steps, max_word_len).items():
-        if image_for.setdefault(i, j) != j:
-            return MorphismWitness("word", [(ONE, words[i])], [(ONE, word)], m)
+    # Semigroup level: label each source number, in first-word order, with the
+    # (index, mask) state of its word's image, one image move per letter and image
+    # state.  Until a number gets a second label, words reach one (source, image)
+    # pair per number, so that number is the first with two images: a witness.
+    steps = [(elementary(s2, m * a, st), {}) for a, st in letters_of(s1)]
+    image_for: list = [None] * (len(words) + 1)  # one per number, the identity's included
+    for depth, level in enumerate(levels):
+        frontier = [(k, image_for[k]) for k in level] if depth else [(0, (0, 0))]
+        for letter, move, (v, to) in zip(letters_of(s1), moves, steps):
+            for k, image in frontier:
+                j = to.get(image) or to.setdefault(image, compose_state(v, image))
+                i = move[k]
+                first = image_for[i]
+                if first is None:
+                    image_for[i] = j
+                elif first != j:
+                    word = (letter,) + (words[k] if depth else ())
+                    return MorphismWitness("word", [(ONE, words[i])], [(ONE, word)], m)
 
     # Linear level: dependences among the source monomials must stay
-    # dependences among the images.  With m = 0 every image is the identity,
-    # and the widest-translation key makes each dependence's coefficients sum to 0.
-    if m == 0:
-        return None
+    # dependences among the images, each built from its state.
     try:
         for kappa in copy.copy(kernel):
-            image = FreeElement.collect(s2, ((images[image_for[order[p]]], c) for p, c in kappa))
+            image = FreeElement.collect(s2, ((_translation(s2, *image_for[order[p]]), c)
+                                             for p, c in kappa))
             if not rep(image).is_zero:
                 left = [(c, words[order[p]]) for p, c in kappa if c.im != 0 or c.re > 0]
                 right = [(-c, words[order[p]]) for p, c in kappa if c.im == 0 and c.re < 0]

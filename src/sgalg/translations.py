@@ -154,6 +154,12 @@ def compose(v: PartialTranslation, w: PartialTranslation) -> PartialTranslation:
     return out
 
 
+def compose_state(v: PartialTranslation, w: tuple[int, int]) -> tuple[int, int]:
+    """compose(v, w) for w an (index, mask) state, as a state: no translation is built."""
+    t, mask = w
+    return v.index + t, (mask | (v.mask >> t if t >= 0 else v.mask << -t)) & ~v.semigroup.gapmask
+
+
 def max_translation(semigroup: NumericalSemigroup, c: int) -> PartialTranslation:
     """The widest translation of index c: domain {d : d + c stays inside}.
 

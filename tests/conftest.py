@@ -14,8 +14,7 @@ from sgalg.operators import OperatorElement, from_monomial
 from sgalg.semigroup import bit_positions, morphism_multipliers
 from sgalg.translations import compose, elementary
 from sgalg.quantum import (FreeElement, MorphismWitness, coproduct, distinct_monomials,
-                           first_words, group_like_detect, letters_of, monomial_kernel, rep,
-                           tensor_of)
+                           group_like_detect, letters_of, monomial_kernel, rep, tensor_of)
 
 
 def word_offsets(semigroup, word) -> list[int]:
@@ -272,9 +271,33 @@ def dense_truncate(a, n):
     return mat
 
 
+def first_words(start, steps, max_len) -> dict:
+    """Each value that non-empty words of at most max_len letters reach from start,
+    mapped to its first word: shortest first, then in letter order.
+
+    steps pairs each letter with the map that puts it in front of a value.  A
+    word's value depends only on its first letter and the value of the rest,
+    so the search is breadth-first, one node per value; start is a key only
+    when a non-empty word reaches it.
+    """
+    out: dict = {}
+    frontier = [(start, ())]
+    for _ in range(max_len):
+        fresh = []
+        for letter, step in steps:
+            for rest, rest_word in frontier:
+                value = step(rest)
+                if value not in out:
+                    out[value] = word = (letter,) + rest_word
+                    fresh.append((value, word))
+        frontier = fresh
+    return out
+
+
 def pairwise_morphism_falsify(s1, s2, m, max_word_len):
     """quantum.quantum_morphism_falsify's reference: the first-word searches run
-    on the partial translations themselves, and the whole kernel is built first."""
+    on the partial translations themselves, the word phase over (source, image)
+    pairs to the end, and the whole kernel is built first."""
     if m < 0 or m not in morphism_multipliers(s1, s2, m):
         raise ValueError(f"{m} is not a morphism multiplier here")
     steps = [(l, functools.partial(compose, elementary(s1, *l))) for l in letters_of(s1)]

@@ -491,9 +491,21 @@ def test_falsifier_word_witness_from_three_generators():
     assert evaluate_word(S23, left) != evaluate_word(S23, right)
 
 
+def _same_witness(s1, s2, m, length):
+    found = quantum_morphism_falsify(s1, s2, m, length)
+    expected = pairwise_morphism_falsify(s1, s2, m, length)
+    assert (found is None) == (expected is None)
+    if found is None:
+        return None
+    assert ((found.kind, found.left, found.right, found.multiplier)
+            == (expected.kind, expected.left, expected.right, expected.multiplier))
+    return found.kind
+
+
 def test_falsifier_matches_the_pairwise_reference():
-    # Every admissible multiplier up to 6 at every length up to 5: the same
-    # witness, spelled with the same words, as the search on translations.
+    # Every admissible multiplier up to 6 at every length up to 5, and the
+    # benchmark's scans: the same witness, spelled with the same words, as the
+    # search on translations, which runs its (source, image) pairs to the end.
     kinds = set()
     for src in ([1], [2, 3], [3, 5], [3, 7], [3, 4, 5]):
         s1 = NumericalSemigroup(src)
@@ -501,15 +513,29 @@ def test_falsifier_matches_the_pairwise_reference():
             s2 = NumericalSemigroup(tgt)
             for m in morphism_multipliers(s1, s2, 6):
                 for length in range(1, 6):
-                    found = quantum_morphism_falsify(s1, s2, m, length)
-                    expected = pairwise_morphism_falsify(s1, s2, m, length)
-                    assert (found is None) == (expected is None)
-                    if found is not None:
-                        assert ((found.kind, found.left, found.right, found.multiplier)
-                                == (expected.kind, expected.left, expected.right,
-                                    expected.multiplier))
-                        kinds.add((tuple(src), tuple(tgt), found.kind))
+                    kinds.add((tuple(src), tuple(tgt), _same_witness(s1, s2, m, length)))
     assert ((3, 4, 5), (2, 3), "word") in kinds
+    for src in ([2, 3], [3, 5]):
+        s1 = NumericalSemigroup(src)
+        for m in morphism_multipliers(s1, Z, 6):
+            _same_witness(s1, Z, m, 7)
+    assert _same_witness(Z, Z, 1, 11) is None
+    s345 = NumericalSemigroup([3, 4, 5])
+    assert _same_witness(s345, S23, 1, 6) == "word"
+
+
+def test_source_automaton_moves_compose_and_levels_hold_first_words():
+    for gens, length in (([1], 8), ([2, 3], 6), ([3, 5], 5), ([3, 4, 5], 4)):
+        s = NumericalSemigroup(gens)
+        pts, words, moves, levels = quantum._source_automaton(s, length)
+        assert pts[0] == elementary(s, 0, False)
+        for letter, move in zip(quantum.letters_of(s), moves):
+            for i, j in move.items():
+                assert pts[j] == compose(elementary(s, *letter), pts[i])
+        assert levels[0] == [0] and len(levels) == length
+        for depth, level in enumerate(levels[1:], 1):
+            assert level == [k for k, word in words.items() if len(word) == depth]
+        assert {k for level in levels for k in level} == set().union(*map(set, moves))
 
 
 def test_falsifier_eliminates_only_the_classes_it_reads(monkeypatch):
