@@ -23,7 +23,7 @@ from . import quantum
 from .quantum import (FreeElement, coproduct, corner_diagram_check, descent_witness,
                       distinct_monomials, letters_of, monomial_kernel,
                       quantum_morphism_falsify, rep, tensor_of, weak_antipode,
-                      weak_hopf_check, _pt_sort_key)
+                      weak_hopf_check)
 from . import functionals as fns
 from .numeric import (fourier_project, gauge_twist, laurent_sup_norm,
                       operator_norm, truncate)
@@ -436,7 +436,7 @@ def suite_coideal(s: NumericalSemigroup) -> list[dict]:
 def suite_descent(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
     rng = _rng("descent", s, seed)
     max_len, corner_span = 6, 4
-    monos = sorted(distinct_monomials(s, max_len), key=_pt_sort_key)
+    monos = sorted(distinct_monomials(s, max_len), key=lambda v: v.sort_key)
     kernel = list(monomial_kernel(monos))
     # wide enough to reach past every domain threshold at this word length
     window = max([10] + [v.mask.bit_length() + 2 for v in monos])
@@ -469,7 +469,7 @@ def suite_descent(s: NumericalSemigroup, seed: int = 0) -> list[dict]:
                                (classes, lambda x, a: corner_diagram_check(x, a, window) is None)))
     else:
         dependences = (FreeElement(s, {monos[p]: c for p, c in vec}) for vec in kernel)
-        found = [descent_witness(x, window) if rep(x).is_zero else None for x in dependences]
+        found = [descent_witness(x, window) for x in dependences]
         witness_ok = all(f is not None and f[0][0] != f[0][1] for f in found)
         reports.append(_report("operator-level dependences exist and each has an "
                                "off-diagonal tensor witness",
@@ -766,12 +766,11 @@ def morphism_report(s1: NumericalSemigroup, s2: NumericalSemigroup,
     """Falsifier run for one multiplier, or a scan over 0..6 when absent."""
     multipliers = ([multiplier] if multiplier is not None
                    else morphism_multipliers(s1, s2, 6))
-    results = []
-    for m in multipliers:
-        witness = quantum_morphism_falsify(s1, s2, m, max_len)
-        results.append({"multiplier": m, "trivial": m == 0,
-                        "consistent_up_to": None if witness else max_len,
-                        "witness": witness.to_json_dict() if witness else None})
+    witnesses = quantum_morphism_falsify(s1, s2, multipliers, max_len)
+    results = [{"multiplier": m, "trivial": m == 0,
+                "consistent_up_to": None if witness else max_len,
+                "witness": witness.to_json_dict() if witness else None}
+               for m, witness in zip(multipliers, witnesses)]
     return {"source": list(s1.generators), "target": list(s2.generators),
             "max_word_len": max_len, "results": results,
             "witness_found": any(r["witness"] is not None for r in results)}

@@ -9,15 +9,13 @@ forgetful map down to operators.
 
 from __future__ import annotations
 
-import copy
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .scalars import Combination, GaussianRational, ONE, ZERO
-from .semigroup import NumericalSemigroup, bit_positions, morphism_multipliers
+from .semigroup import NumericalSemigroup, bit_positions
 from .operators import OperatorElement, from_monomial, monomial_terms
 from .translations import (PartialTranslation, Word, _leaving, _translation, cell_points,
                            compose, compose_state, elementary, evaluate_word)
@@ -367,37 +365,11 @@ class MorphismWitness:
                 "left": side(self.left), "right": side(self.right)}
 
 
-@functools.lru_cache(maxsize=1)
-def _falsifier_context(s1: NumericalSemigroup, max_word_len: int):
-    """The source automaton, its reached numbers in monomial sort order, and a tee of
-    their kernel: each copy replays the classes eliminated so far, then eliminates on."""
-    pts, words, moves, levels = _source_automaton(s1, max_word_len)
-    order = sorted(words, key=lambda i: pts[i].sort_key)
-    kernel = itertools.tee(monomial_kernel([pts[i] for i in order]), 1)[0]
-    return words, moves, levels, order, kernel
-
-
-def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
-                             m: int, max_word_len: int) -> Optional[MorphismWitness]:
-    """Search for an obstruction to the letter map T_a -> T_{m*a}.
-
-    Two phases, both exhaustive up to the word length: words equal as source
-    operators must have equal images (semigroup level), and every rational
-    dependence among source monomials must map to a dependence among the
-    images (linear level).  Absence of a witness means "consistent up to this
-    length", not that a morphism exists.  Witnesses are spelled with first
-    words (see _source_automaton).
-    """
-    if m < 0 or m not in morphism_multipliers(s1, s2, m):
-        raise ValueError(f"{m} is not a morphism multiplier here")
-    if m == 0:  # every image is the identity, and the widest-translation key
-        return None  # makes each dependence's coefficients sum to 0
-    words, moves, levels, order, kernel = _falsifier_context(s1, max_word_len)
-
-    # Semigroup level: label each source number, in first-word order, with the
-    # (index, mask) state of its word's image, one image move per letter and image
-    # state.  Until a number gets a second label, words reach one (source, image)
-    # pair per number, so that number is the first with two images: a witness.
+def _image_states(s1: NumericalSemigroup, s2: NumericalSemigroup, m: int, words: dict,
+                  moves: list, levels: list):
+    """Semigroup level: label each source number, in first-word order, with the (index,
+    mask) state of its word's image.  Until a number gets a second label, words reach one
+    (source, image) pair per number, so the first with two gives the word witness instead."""
     steps = [(elementary(s2, m * a, st), {}) for a, st in letters_of(s1)]
     image_for: list = [None] * (len(words) + 1)  # one per number, the identity's included
     for depth, level in enumerate(levels):
@@ -412,19 +384,47 @@ def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
                 elif first != j:
                     word = (letter,) + (words[k] if depth else ())
                     return MorphismWitness("word", [(ONE, words[i])], [(ONE, word)], m)
+    return image_for
+
+
+def quantum_morphism_falsify(s1: NumericalSemigroup, s2: NumericalSemigroup,
+                             multipliers: Sequence[int], max_word_len: int
+                             ) -> list[Optional[MorphismWitness]]:
+    """Search for an obstruction to each letter map T_a -> T_{m*a}, m in multipliers.
+
+    Two phases, both exhaustive up to the word length: words equal as source
+    operators must have equal images (semigroup level), and every rational
+    dependence among source monomials must map to a dependence among the
+    images (linear level).  Absence of a witness means "consistent up to this
+    length", not that a morphism exists.  Witnesses are spelled with first
+    words (see _source_automaton).  All multipliers share one source automaton
+    and one pass over its kernel, eliminated only until each has its witness.
+    """
+    for m in multipliers:
+        if m < 0 or not all(s2.contains(m * g) for g in s1.generators):
+            raise ValueError(f"{m} is not a morphism multiplier here")
+    found: list[Optional[MorphismWitness]] = [None] * len(multipliers)
+    if not any(multipliers):  # every image is the identity, and the widest-translation key
+        return found  # makes each dependence's coefficients sum to 0: no m = 0 has a witness
+    pts, words, moves, levels = _source_automaton(s1, max_word_len)
+    # position in multipliers -> the image state of each source number, or a word witness
+    open_scans = {n: _image_states(s1, s2, m, words, moves, levels)
+                  for n, m in enumerate(multipliers) if m}
+    for n, images in list(open_scans.items()):
+        if isinstance(images, MorphismWitness):
+            found[n] = open_scans.pop(n)
 
     # Linear level: dependences among the source monomials must stay
     # dependences among the images, each built from its state.
-    try:
-        for kappa in copy.copy(kernel):
+    order = sorted(words, key=lambda i: pts[i].sort_key)
+    kernel = monomial_kernel([pts[i] for i in order])
+    while open_scans and (kappa := next(kernel, None)) is not None:
+        for n, image_for in list(open_scans.items()):
             image = FreeElement.collect(s2, ((_translation(s2, *image_for[order[p]]), c)
                                              for p, c in kappa))
             if not rep(image).is_zero:
                 left = [(c, words[order[p]]) for p, c in kappa if c.im != 0 or c.re > 0]
                 right = [(-c, words[order[p]]) for p, c in kappa if c.im == 0 and c.re < 0]
-                return MorphismWitness("combination", left, right, m)
-    except BaseException:  # an elimination cut short would end every later copy early
-        _falsifier_context.cache_clear()
-        raise
-    return None
-
+                found[n] = MorphismWitness("combination", left, right, multipliers[n])
+                del open_scans[n]
+    return found

@@ -295,9 +295,10 @@ def first_words(start, steps, max_len) -> dict:
 
 
 def pairwise_morphism_falsify(s1, s2, m, max_word_len):
-    """quantum.quantum_morphism_falsify's reference: the first-word searches run
-    on the partial translations themselves, the word phase over (source, image)
-    pairs to the end, and the whole kernel is built first."""
+    """quantum.quantum_morphism_falsify's reference for one multiplier: the
+    first-word searches run on the partial translations themselves, the word
+    phase over (source, image) pairs to the end, and the whole kernel is built
+    first."""
     if m < 0 or m not in morphism_multipliers(s1, s2, m):
         raise ValueError(f"{m} is not a morphism multiplier here")
     steps = [(l, functools.partial(compose, elementary(s1, *l))) for l in letters_of(s1)]

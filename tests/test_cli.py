@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -492,6 +493,25 @@ def test_multiplier_is_bounded_by_the_letter_budget(capsys):
         code, out = run_cli(capsys, "morphism", "--from", "2,3", "--to", "1", "--mult", mult)
         assert code == 2
         assert json.loads(out)["error"]["message"].startswith("--mult * --max-len * 3 must be")
+
+
+def test_multiplier_is_checked_on_its_own_generator_images(capsys, monkeypatch):
+    # --mult is admissible when m*g is in the target for each source generator g:
+    # no list of the multipliers up to m is built to test membership in it.
+    def unreachable(*args):
+        raise AssertionError("morphism_multipliers called for a given --mult")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sgalg" and hasattr(module, "morphism_multipliers"):
+            monkeypatch.setattr(module, "morphism_multipliers", unreachable)
+    code, out = run_cli(capsys, "morphism", "--from", "2,3", "--to", "1",
+                        "--mult", "333333", "--max-len", "1")
+    doc = json.loads(out)
+    assert code in (0, 1) and [r["multiplier"] for r in doc["results"]] == [333333]
+    for mult in ("1", "-2"):
+        code, out = run_cli(capsys, "morphism", "--from", "1", "--to", "2,3", "--mult", mult)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == f"{mult} is not a morphism multiplier here"
 
 
 def test_point_mass_angles_are_exact_turns(capsys):

@@ -447,16 +447,18 @@ def test_search_matches_brute_force_enumeration(gens, max_len):
 
 
 def test_falsifier_examples():
-    assert quantum_morphism_falsify(Z, Z, 1, 6) is None
-    assert quantum_morphism_falsify(Z, S23, 2, 5) is None
-    w = quantum_morphism_falsify(S23, Z, 1, 6)
+    assert quantum_morphism_falsify(Z, Z, [1], 6) == [None]
+    assert quantum_morphism_falsify(Z, S23, [2], 5) == [None]
+    (w,) = quantum_morphism_falsify(S23, Z, [1], 6)
     assert w is not None and w.kind == "combination"
-    with pytest.raises(ValueError):
-        quantum_morphism_falsify(Z, S23, 1, 4)   # 1*1 = 1 is not in S(2,3)
+    assert quantum_morphism_falsify(S23, Z, [], 6) == []
+    for multipliers in ([1], [2, 1], [-2]):   # 1*1 = 1 is not in S(2,3), nor is -2*1
+        with pytest.raises(ValueError, match=f"{multipliers[-1]} is not a morphism multiplier"):
+            quantum_morphism_falsify(Z, S23, multipliers, 4)
 
 
 def test_falsifier_witness_is_genuine():
-    w = quantum_morphism_falsify(S23, Z, 1, 6)
+    (w,) = quantum_morphism_falsify(S23, Z, [1], 6)
     left = sum((from_monomial(evaluate_word(S23, word)).scale(c)
                 for c, word in w.left), OperatorElement.zero(S23))
     right = sum((from_monomial(evaluate_word(S23, word)).scale(c)
@@ -469,18 +471,11 @@ def test_falsifier_witness_is_genuine():
     assert img_left != img_right
 
 
-def test_falsifier_keeps_one_context():
-    S35 = NumericalSemigroup([3, 5])
-    for source, length in ((S23, 3), (S35, 3), (Z, 4)):
-        quantum_morphism_falsify(source, Z, 1, length)
-    assert quantum._falsifier_context.cache_info().currsize <= 1
-
-
 def test_falsifier_word_witness_from_three_generators():
     # T(3)T*(3)T(5) = T(4)T*(3)T(4) over S(3,4,5): both keep d exactly when
     # d >= 3.  Over S(2,3) the first keeps 0 and the second does not.
     s345 = NumericalSemigroup([3, 4, 5])
-    w = quantum_morphism_falsify(s345, S23, 1, 3)
+    (w,) = quantum_morphism_falsify(s345, S23, [1], 3)
     assert w.kind == "word"
     ((c1, left),), ((c2, right),) = w.left, w.right
     assert c1 == c2 == ONE and left != right
@@ -491,15 +486,19 @@ def test_falsifier_word_witness_from_three_generators():
     assert evaluate_word(S23, left) != evaluate_word(S23, right)
 
 
-def _same_witness(s1, s2, m, length):
-    found = quantum_morphism_falsify(s1, s2, m, length)
-    expected = pairwise_morphism_falsify(s1, s2, m, length)
-    assert (found is None) == (expected is None)
-    if found is None:
-        return None
-    assert ((found.kind, found.left, found.right, found.multiplier)
-            == (expected.kind, expected.left, expected.right, expected.multiplier))
-    return found.kind
+def _same_witnesses(s1, s2, multipliers, length):
+    """One scan over the multipliers against the pairwise reference, multiplier
+    by multiplier; the kinds of the witnesses found."""
+    kinds = []
+    for m, found in zip(multipliers, quantum_morphism_falsify(s1, s2, multipliers, length),
+                        strict=True):
+        expected = pairwise_morphism_falsify(s1, s2, m, length)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert ((found.kind, found.left, found.right, found.multiplier)
+                    == (expected.kind, expected.left, expected.right, expected.multiplier))
+        kinds.append(None if found is None else found.kind)
+    return kinds
 
 
 def test_falsifier_matches_the_pairwise_reference():
@@ -511,17 +510,17 @@ def test_falsifier_matches_the_pairwise_reference():
         s1 = NumericalSemigroup(src)
         for tgt in ([1], [2, 3], [3, 5]):
             s2 = NumericalSemigroup(tgt)
-            for m in morphism_multipliers(s1, s2, 6):
-                for length in range(1, 6):
-                    kinds.add((tuple(src), tuple(tgt), _same_witness(s1, s2, m, length)))
+            multipliers = morphism_multipliers(s1, s2, 6)
+            for length in range(1, 6):
+                kinds.update((tuple(src), tuple(tgt), kind)
+                             for kind in _same_witnesses(s1, s2, multipliers, length))
     assert ((3, 4, 5), (2, 3), "word") in kinds
     for src in ([2, 3], [3, 5]):
         s1 = NumericalSemigroup(src)
-        for m in morphism_multipliers(s1, Z, 6):
-            _same_witness(s1, Z, m, 7)
-    assert _same_witness(Z, Z, 1, 11) is None
+        _same_witnesses(s1, Z, morphism_multipliers(s1, Z, 6), 7)
+    assert _same_witnesses(Z, Z, [1], 11) == [None]
     s345 = NumericalSemigroup([3, 4, 5])
-    assert _same_witness(s345, S23, 1, 6) == "word"
+    assert _same_witnesses(s345, S23, [1], 6) == ["word"]
 
 
 def test_source_automaton_moves_compose_and_levels_hold_first_words():
@@ -539,9 +538,8 @@ def test_source_automaton_moves_compose_and_levels_hold_first_words():
 
 
 def test_falsifier_eliminates_only_the_classes_it_reads(monkeypatch):
-    # A refuted scan stops at its witness, so later index classes are never
-    # eliminated; a second multiplier over the same context eliminates nothing
-    # that the first did not.
+    # A refuted scan stops at its last witness, so later index classes are never
+    # eliminated; a second multiplier eliminates nothing that the first did not.
     S35 = NumericalSemigroup([3, 5])
     eliminated = []
 
@@ -549,36 +547,43 @@ def test_falsifier_eliminates_only_the_classes_it_reads(monkeypatch):
         eliminated.append(len(columns))
         return exact_nullspace(columns)
 
-    quantum._falsifier_context.cache_clear()
     monkeypatch.setattr(quantum, "exact_nullspace", counting)
-    try:
-        classes = {v.index for v in distinct_monomials(S35, 7)}
-        assert quantum_morphism_falsify(S35, Z, 1, 7).kind == "combination"
-        first = len(eliminated)
-        assert 0 < first < len(classes)
-        assert quantum_morphism_falsify(S35, Z, 2, 7).kind == "combination"
-        assert len(eliminated) == first
-    finally:
-        quantum._falsifier_context.cache_clear()
-
-
-def test_falsifier_does_not_replay_an_interrupted_elimination(monkeypatch):
-    expected = quantum_morphism_falsify(S23, Z, 1, 6)
-    assert expected.kind == "combination"
-
-    def interrupted(columns):
-        raise RuntimeError("interrupted")
-
-    quantum._falsifier_context.cache_clear()
-    with monkeypatch.context() as patch:
-        patch.setattr(quantum, "exact_nullspace", interrupted)
-        with pytest.raises(RuntimeError):
-            quantum_morphism_falsify(S23, Z, 1, 6)
-    found = quantum_morphism_falsify(S23, Z, 1, 6)
-    assert found is not None and (found.left, found.right) == (expected.left, expected.right)
+    classes = {v.index for v in distinct_monomials(S35, 7)}
+    assert [w.kind for w in quantum_morphism_falsify(S35, Z, [1], 7)] == ["combination"]
+    first = list(eliminated)
+    eliminated.clear()
+    assert ([w.kind for w in quantum_morphism_falsify(S35, Z, [1, 2], 7)]
+            == ["combination", "combination"])
+    assert 0 < len(eliminated) < len(classes)
+    assert eliminated == first
 
 
 def test_falsifier_trivial_multiplier_consistent():
     # the zero multiplier is the symbol evaluated at the neutral point: a
     # genuine morphism, so no witness can exist
-    assert quantum_morphism_falsify(S23, Z, 0, 5) is None
+    assert quantum_morphism_falsify(S23, Z, [0], 5) == [None]
+
+
+def test_scan_of_zero_multipliers_builds_no_source_automaton(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a scan of zero multipliers built the source automaton")
+
+    monkeypatch.setattr(quantum, "_source_automaton", unreachable)
+    assert quantum_morphism_falsify(S23, Z, [0], 5) == [None]
+    assert quantum_morphism_falsify(S23, S23, [0, 0], 5) == [None, None]
+
+
+def test_morphism_report_builds_one_source_automaton_per_scan(monkeypatch):
+    built = []
+
+    def counting(semigroup, max_len):
+        built.append((semigroup, max_len))
+        return source_automaton(semigroup, max_len)
+
+    source_automaton = quantum._source_automaton
+    monkeypatch.setattr(quantum, "_source_automaton", counting)
+    report = checks.morphism_report(S23, Z, None, 6)
+    assert [r["multiplier"] for r in report["results"]] == list(range(7))
+    assert built == [(S23, 6)]
+    checks.morphism_report(NumericalSemigroup([3, 5]), Z, 2, 4)
+    assert built[1:] == [(NumericalSemigroup([3, 5]), 4)]
