@@ -71,15 +71,23 @@ class FreeTensor(Combination):
 
     __slots__ = ()
 
-    def apply(self, pair: tuple[int, int]) -> dict[tuple[int, int], GaussianRational]:
-        """Basis action at a member pair; either dead leg kills the term."""
-        c, d = pair
-        s = self.semigroup
-        if not s.contains(c) or not s.contains(d):
-            raise ValueError(f"pair {pair} is not a member pair")
-        images = (((v.apply(c), w.apply(d)), coeff)
-                  for (v, w), coeff in self.terms.items())
-        return Combination.collect(None, (p for p in images if None not in p[0])).terms
+    def pair_images(self, cs: Sequence[int], ds: Sequence[int]
+                    ) -> Iterator[tuple[tuple[int, int], dict]]:
+        """Basis action at the member pairs (c, d), c in cs and d in ds, in that
+        order: each nonzero image as ((c, d), {(c', d'): coefficient}); either
+        dead leg kills a term.  The masks are first cut to the points' window,
+        so each membership test shifts a window-sized integer."""
+        window = (2 << max(itertools.chain(cs, ds), default=0)) - 1
+        terms = [(v.index, v.mask & window, w.index, w.mask & window, coeff)
+                 for (v, w), coeff in self.terms.items()]
+        for c in cs:
+            row = [(c + i, j, w_mask, coeff)
+                   for i, v_mask, j, w_mask, coeff in terms if not v_mask >> c & 1]
+            for d in ds:
+                vals = Combination.collect(None, (((ci, d + j), coeff) for ci, j, w_mask, coeff
+                                                  in row if not w_mask >> d & 1)).terms
+                if vals:
+                    yield (c, d), vals
 
     def __repr__(self):
         return f"FreeTensor({self.semigroup!r}, {len(self.terms)} terms)"
@@ -186,14 +194,7 @@ def descent_witness(x: FreeElement, window: int
     for v in x.terms:
         left_out |= v.mask
     points = cell_points(left_out & ((2 << window) - 1), [v.mask for v in x.terms])
-    for c in points:
-        row = [(v.index, v.mask, a) for v, a in x.terms.items() if not v.mask >> c & 1]
-        for d in points:
-            vals = Combination.collect(None, (((c + i, d + i), a) for i, mask, a in row
-                                              if not mask >> d & 1)).terms
-            if vals:
-                return (c, d), vals
-    return None
+    return next(coproduct(x).pair_images(points, points), None)
 
 
 def corner_diagram_check(x: FreeElement, a: int, window: int

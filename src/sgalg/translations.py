@@ -21,6 +21,8 @@ from .semigroup import NumericalSemigroup, bit_positions
 Letter = tuple[int, bool]
 Word = tuple[Letter, ...]
 
+_KEPT_AS_ZERO = str.maketrans("01", "10")  # sort_key's flags from a kept-points mask
+
 
 def _pullback(mask: int, t: int) -> int:
     """Mask of the d >= 0 with bit d + t of mask set."""
@@ -70,7 +72,13 @@ class PartialTranslation:
 
     @property
     def sort_key(self):
-        return (self.index, self.mask.bit_length(), self.members_below)
+        """(index, threshold, flags): flags reads '0' at each point kept below the
+        threshold and '1' at the others, lowest point first, so string order on
+        flags is tuple order on members_below, and no member list is built."""
+        mask = self.mask
+        t = mask.bit_length()
+        kept = ((1 << t) - 1) & ~(self.semigroup.gapmask | mask)
+        return (self.index, t, bin(kept)[:1:-1].translate(_KEPT_AS_ZERO) if kept else "")
 
     def apply(self, d: int) -> Optional[int]:
         """Image of the basis point d, or None when the translation kills it."""

@@ -193,6 +193,19 @@ def dense_kernel():
     return dense_nullspace, dense_monomial_kernel
 
 
+def tensor_apply(t, pair):
+    """FreeTensor.pair_images' reference at one member pair: every term's two
+    legs applied by PartialTranslation.apply, either dead leg killing the term."""
+    c, d = pair
+    images = (((v.apply(c), w.apply(d)), coeff) for (v, w), coeff in t.terms.items())
+    return Combination.collect(None, (p for p in images if None not in p[0])).terms
+
+
+def reference_sort_key(v):
+    """PartialTranslation.sort_key's reference order: (index, threshold, members_below)."""
+    return v.index, v.mask.bit_length(), v.members_below
+
+
 def pairwise_descent_witness(x, window):
     """quantum.descent_witness's reference: the whole coproduct applied at
     every member pair up to window, rows first."""
@@ -202,7 +215,7 @@ def pairwise_descent_witness(x, window):
     members = x.semigroup.members_upto(window)
     for c in members:
         for d in members:
-            vals = t.apply((c, d))
+            vals = tensor_apply(t, (c, d))
             if vals:
                 return (c, d), vals
     return None
@@ -230,7 +243,7 @@ def pointwise_descent_witness(x, window):
 def pointwise_diagonal(t, op, window):
     """suite_descent's diagonal claims by their definition: the whole tensor
     and the whole operator applied at every member up to window."""
-    return all(t.apply((a, a)) == {(m, m): c for m, c in op.apply(a).items()}
+    return all(tensor_apply(t, (a, a)) == {(m, m): c for m, c in op.apply(a).items()}
                for a in op.semigroup.members_upto(window))
 
 
@@ -248,7 +261,7 @@ def pointwise_corner(x, a, window):
         if not s.contains(c + a):
             continue
         lhs = Combination.collect(None, ((l, coeff) for (l, _k), coeff
-                                         in t.apply((c, c + a)).items())).terms
+                                         in tensor_apply(t, (c, c + a)).items())).terms
         rhs = {m: coeff for m, coeff in op.apply(c).items() if s.contains(m + a)}
         if lhs != rhs:
             return c, c + a

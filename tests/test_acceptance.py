@@ -9,7 +9,7 @@ import sys
 
 from sgalg.scalars import GaussianRational, ONE
 from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
-from conftest import group_like_survey, word_offsets
+from conftest import group_like_survey, tensor_apply, word_offsets
 from sgalg.translations import evaluate_word
 from sgalg.quantum import FreeElement, coproduct, descent_witness, rep
 from sgalg.checks import (morphism_report, suite_coideal, suite_descent,
@@ -128,7 +128,7 @@ def test_criterion_9_descent_findings():
     ok = ok and found is not None and found[0] == (2, 3)
     ok = ok and found[1] == {(2, 3): GaussianRational(-1)}
     # diagonal pairs never witness
-    ok = ok and all(coproduct(x).apply((a, a)) == {}
+    ok = ok and all(tensor_apply(coproduct(x), (a, a)) == {}
                     for a in S23.members_upto(12))
 
     ok = ok and _passes_at(suite_descent(S23), max_word_len=6)

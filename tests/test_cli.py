@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import tensor_apply
 from sgalg import checks, cli
 from sgalg.cli import main
 from sgalg.quantum import coproduct
@@ -258,8 +259,8 @@ def test_coproduct(capsys):
 
 @pytest.mark.parametrize("gens", [(2, 3), (31, 37), (99, 101)])
 def test_coproduct_pair_table_matches_apply(capsys, monkeypatch, gens):
-    # The table reads each term's kept points once; FreeTensor.apply, pair by
-    # pair, is its reference.  Seeded free elements stand in for the parse.
+    # The table is FreeTensor.pair_images over the first N members; tensor_apply,
+    # pair by pair, is its reference.  Seeded free elements stand in for the parse.
     s = NumericalSemigroup(gens)
     rng = random.Random(f"pair-table:{gens}")
     for _ in range(4):
@@ -270,7 +271,7 @@ def test_coproduct_pair_table_matches_apply(capsys, monkeypatch, gens):
         members = s.members_upto(s.element_at(39))
         expected = [[[c, d], [[list(k), str(v)] for k, v in sorted(vals.items())]]
                     for c in members for d in members
-                    if (vals := coproduct(x).apply((c, d)))]
+                    if (vals := tensor_apply(coproduct(x), (c, d)))]
         assert code == 0 and json.loads(out)["pair_action"] == expected
 
 

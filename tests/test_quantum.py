@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (group_like_reference, group_like_survey, operator_coordinates,
                       pairwise_descent_witness, pairwise_morphism_falsify,
-                      pointwise_descent_witness)
+                      pointwise_descent_witness, tensor_apply)
 from sgalg.scalars import GaussianRational, I_UNIT, ONE, ZERO
 from sgalg.semigroup import NumericalSemigroup, morphism_multipliers
 from sgalg.translations import compose, elementary, evaluate_word, max_translation
@@ -199,11 +199,11 @@ def test_tensor_multiply_examples():
 def test_tensor_apply_examples():
     t2 = elementary(S23, 2, False)
     t = tensor_of(FreeElement.monomial(t2), FreeElement.monomial(t2))
-    assert t.apply((0, 0)) == {(2, 2): ONE}
+    assert tensor_apply(t, (0, 0)) == {(2, 2): ONE}
 
     x = mono(S23, (3, True), (2, False), (2, True), (3, False))
     d = coproduct(x)
-    assert d.apply((2, 3)) == {(2, 3): ONE}
+    assert tensor_apply(d, (2, 3)) == {(2, 3): ONE}
 
     rng = random.Random(37)
     for _ in range(40):
@@ -214,8 +214,27 @@ def test_tensor_apply_examples():
                 rng.choice((ONE, I_UNIT, GaussianRational(-2))))
         op = rep(x)
         for a in S23.members_upto(10):
-            diag = coproduct(x).apply((a, a))
+            diag = tensor_apply(coproduct(x), (a, a))
             assert diag == {(m, m): c for m, c in op.apply(a).items()}
+
+
+@pytest.mark.parametrize("gens", [(1,), (2, 3), (3, 5), (31, 37)])
+def test_pair_images_match_tensor_apply(gens):
+    s = NumericalSemigroup(gens)
+    rng = random.Random(f"pair-images:{gens}")
+    # samples in no particular order, reaching past F, where masks can outrun the window
+    pool = s.members_upto(2 * s.frobenius + 3 * max(gens))
+    for _ in range(6):
+        x, y = (checks.random_free_element(rng, s) for _ in range(2))
+        for t in (coproduct(x), tensor_of(x, y)):
+            cs = rng.sample(pool, min(8, len(pool))) + [s.frobenius + 1]
+            ds = rng.sample(pool, min(5, len(pool))) + [s.frobenius + max(gens)]
+            for a, b in ((cs, ds), (ds, cs), (cs, cs), (ds[:1], ds[:1])):
+                expected = [((c, d), vals) for c in a for d in b
+                            if (vals := tensor_apply(t, (c, d)))]
+                assert list(t.pair_images(a, b)) == expected
+            assert list(t.pair_images([], ds)) == list(t.pair_images(cs, [])) == []
+            assert list(t.pair_images([], [])) == []
 
 
 # -- weak Hopf structure ------------------------------------------------------------
@@ -361,7 +380,7 @@ def test_descent_diagonal_never_witnesses():
     x = dependence_element()
     t = coproduct(x)
     for a in S23.members_upto(12):
-        assert t.apply((a, a)) == {}
+        assert tensor_apply(t, (a, a)) == {}
 
 
 def test_no_dependences_over_totally_ordered():

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import word_offsets
+from conftest import reference_sort_key, word_offsets
+from sgalg.quantum import distinct_monomials
 from sgalg.semigroup import NumericalSemigroup, bit_positions, morphism_multipliers
 from sgalg.translations import (PartialTranslation, compose, elementary,
                                 evaluate_word, max_translation, pt_from_offsets,
@@ -405,3 +406,32 @@ def test_domain_view_lists_what_the_oracle_kills_and_keeps(s):
         assert v.members_below == tuple(
             d for d in below if word_action(s, word, d) is not None)
         assert v.mask == 0 or word_action(s, word, below[-1]) is None
+
+
+@pytest.mark.parametrize("gens,max_len", [((2, 3), 6), ((3, 5), 6), ((3, 4, 5), 5), ((3, 7), 6),
+                                          ((11, 13), 6), ((31, 37), 5), ((4, 5, 6, 7), 4)])
+def test_sort_key_orders_like_the_member_lists(gens, max_len):
+    monos = list(distinct_monomials(NumericalSemigroup(gens), max_len))
+    # both keys are one-to-one on translations, so equal sorts mean one strict order
+    assert len({v.sort_key for v in monos}) == len(monos)
+    assert (sorted(monos, key=lambda v: v.sort_key)
+            == sorted(monos, key=reference_sort_key))
+
+
+def test_sort_key_orders_prefixes_and_empty_lists_first():
+    # members_below (0,) before (0, 1), and () before (0,), at one threshold
+    shorter, longer = PartialTranslation(Z, 0, [1, 2]), PartialTranslation(Z, 0, [2])
+    none_kept, one_kept = PartialTranslation(Z, 0, [0, 1]), PartialTranslation(Z, 0, [1])
+    for first, second in ((shorter, longer), (none_kept, one_kept)):
+        assert reference_sort_key(first) < reference_sort_key(second)
+        assert first.sort_key < second.sort_key
+
+
+def test_sorting_reads_no_member_list(monkeypatch):
+    monos = list(distinct_monomials(NumericalSemigroup([99, 101]), 6))
+
+    def refuse(_v):
+        raise AssertionError("members_below read while sorting")
+
+    monkeypatch.setattr(PartialTranslation, "members_below", property(refuse))
+    assert len(sorted(monos, key=lambda v: v.sort_key)) == len(monos)
